@@ -14,7 +14,7 @@ ReadEffect process_read(NetworkState& state, const model::ReadSpec& read) {
   ReadEffect effect;
   effect.channel = read.channel;
 
-  Channel& channel = state.mutable_channel(read.channel);
+  MutableChannelView channel = state.mutable_channel(read.channel);
   const std::size_t m = channel.size();
   const std::size_t i =
       read.count.has_value() ? std::min<std::size_t>(*read.count, m) : m;
@@ -44,8 +44,9 @@ ReadEffect process_read(NetworkState& state, const model::ReadSpec& read) {
 
   if (last_kept != 0) {
     effect.delivered = true;
-    effect.new_known = channel.at(last_kept - 1).path;
-    state.set_known(read.channel, effect.new_known);
+    const PathId known = channel.path_id(last_kept - 1);
+    state.set_known_id(read.channel, known);
+    effect.new_known = state.instance().path(known);
   }
   channel.pop_front_n(i);
   return effect;
@@ -58,68 +59,64 @@ NodeEffect select(NetworkState& state, NodeId v) {
 
   NodeEffect effect;
   effect.node = v;
-  effect.old_assignment = state.assignment(v);
-
+  const PathId old_id = state.assignment_id(v);
+  PathId best = spp::kEpsilonId;
   if (v == inst.destination()) {
-    effect.new_assignment = Path{v};
+    best = inst.destination_path_id();
   } else {
-    Path best = Path::epsilon();
-    std::optional<spp::Rank> best_rank;
-    ChannelIdx best_channel = kNoChannel;
+    // Ids of one node order like ranks, so the smallest extension wins;
+    // ties keep the first channel, as a strict rank comparison would.
     for (const ChannelIdx c : g.in_channels(v)) {
-      const Path& announced = state.known(c);
-      if (announced.empty() || announced.contains(v)) {
-        continue;
-      }
-      const Path candidate = announced.extended_by(v);
-      const auto r = inst.rank(v, candidate);
-      if (!r.has_value()) {
-        continue;
-      }
-      if (!best_rank.has_value() || *r < *best_rank) {
+      const PathId candidate = inst.extension(state.known_id(c), v);
+      if (candidate != spp::kEpsilonId &&
+          (best == spp::kEpsilonId || candidate < best)) {
         best = candidate;
-        best_rank = r;
-        best_channel = c;
+        effect.selected_from = c;
       }
     }
-    effect.new_assignment = best;
-    effect.selected_from = best_channel;
   }
 
-  effect.changed = (effect.new_assignment != effect.old_assignment);
-  state.set_assignment(v, effect.new_assignment);
+  effect.old_assignment = inst.path(old_id);
+  effect.new_assignment = inst.path(best);
+  effect.changed = (best != old_id);
+  state.set_assignment_id(v, best);
   return effect;
 }
 
 /// Phase 3 for one node: write the export value to each out-channel whose
-/// last exported value differs. With allow-all export this reduces to the
-/// paper's announce-on-change rule plus the first announcement.
-void announce(NetworkState& state, const NodeEffect& node_effect,
-              std::vector<SentMessage>& sent) {
-  const spp::Instance& inst = state.instance();
-  const Graph& g = inst.graph();
-  const NodeId v = node_effect.node;
-  const Path& pi_v = node_effect.new_assignment;
-
-  for (const ChannelIdx out : g.out_channels(v)) {
-    const NodeId u = g.channel_id(out).to;
-    const Path export_value =
-        (!pi_v.empty() && inst.export_allows(v, u, pi_v)) ? pi_v
-                                                          : Path::epsilon();
-    const std::optional<Path>& last = state.last_exported(out);
-    const bool should_send =
-        last.has_value() ? (*last != export_value) : !export_value.empty();
-    if (!should_send) {
+/// last exported value differs.
+void announce(NetworkState& state, NodeId v, std::vector<SentMessage>& sent) {
+  for (const ChannelIdx out : state.instance().graph().out_channels(v)) {
+    const std::optional<PathId> value = pending_export(state, out);
+    if (!value.has_value()) {
       continue;
     }
-    Message message{export_value, 0};
-    state.mutable_channel(out).push(message);
-    state.set_last_exported(out, export_value);
-    sent.push_back(SentMessage{out, std::move(message)});
+    state.mutable_channel(out).push_id(*value);
+    state.set_exported_id(out, *value);
+    sent.push_back(
+        SentMessage{out, Message{state.instance().path(*value), 0}});
   }
 }
 
 }  // namespace
+
+std::optional<PathId> pending_export(const NetworkState& state,
+                                     ChannelIdx out) {
+  const spp::Instance& inst = state.instance();
+  const ChannelId id = inst.graph().channel_id(out);
+  const PathId pi = state.assignment_id(id.from);
+  const bool exported = pi != spp::kEpsilonId &&
+                        inst.export_allows(id.from, id.to, inst.path(pi));
+  const PathId value = exported ? pi : spp::kEpsilonId;
+  const PathId last = state.exported_id(out);
+  const bool send = last != NetworkState::kNothingExported
+                        ? last != value
+                        : value != spp::kEpsilonId;
+  if (!send) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 StepEffect execute_step(NetworkState& state,
                         const model::ActivationStep& step,
@@ -141,7 +138,7 @@ StepEffect execute_step(NetworkState& state,
     }
   }
   for (const NodeEffect& node_effect : effect.nodes) {
-    announce(state, node_effect, effect.sent);
+    announce(state, node_effect.node, effect.sent);
   }
   return effect;
 }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "engine/state.hpp"
@@ -61,6 +62,15 @@ struct StepEffect {
   std::vector<NodeEffect> nodes;
   std::vector<SentMessage> sent;
 };
+
+/// What activating channel `out`'s sender would write to it now: the
+/// sender's export value (its assignment, or epsilon when unassigned or
+/// the export policy refuses) when that differs from the last value
+/// exported on `out` — or is d's first announcement — and nullopt when
+/// nothing would be sent. With the default allow-all export policy this
+/// is the paper's announce-on-change rule.
+std::optional<PathId> pending_export(const NetworkState& state,
+                                     ChannelIdx out);
 
 /// Executes one step, mutating `state`. The step must satisfy
 /// model::validate_step for `state.instance()`; callers enforcing a model

@@ -71,7 +71,7 @@ std::string to_dot(const Instance& instance,
 
   // Channels with queued messages.
   for (ChannelIdx c = 0; c < g.channel_count(); ++c) {
-    const engine::Channel& channel = state.channel(c);
+    const engine::ChannelView channel = state.channel(c);
     if (channel.empty()) {
       continue;
     }
