@@ -25,11 +25,7 @@ std::size_t resolve_threads(std::size_t threads) {
 
 ThreadPool::ThreadPool(std::size_t threads)
     : shards_(resolve_threads(threads)) {
-  const std::size_t count = shards_.size();
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  workers_.reserve(shards_.size());
 }
 
 ThreadPool::~ThreadPool() noexcept(false) {
@@ -52,6 +48,13 @@ ThreadPool::~ThreadPool() noexcept(false) {
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Once stop_ is set the destructor is joining workers_; the running
+    // workers drain whatever is queued.
+    if (!stop_ && queue_.size() >= idle_ &&
+        workers_.size() < shards_.size()) {
+      const std::size_t i = workers_.size();
+      workers_.emplace_back([this, i] { worker_loop(i); });
+    }
     queue_.push_back(std::move(task));
     queue_depth_peak_ = std::max(queue_depth_peak_, queue_.size());
   }
@@ -102,7 +105,9 @@ void ThreadPool::worker_loop(std::size_t worker) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      ++idle_;
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      --idle_;
       if (queue_.empty()) {
         shard.idle_us.fetch_add(micros_between(idle_since, Clock::now()),
                                 std::memory_order_relaxed);

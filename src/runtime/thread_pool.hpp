@@ -1,6 +1,7 @@
 // Fixed-size worker pool for embarrassingly-parallel drivers (the
 // campaign runner, future sharded checkers). Tasks are plain
-// std::function thunks served FIFO by a fixed set of worker threads;
+// std::function thunks served FIFO by up to a fixed number of worker
+// threads, started on demand;
 // parallel_for_each layers dynamic index claiming, dense worker ids,
 // ordered result collection (the caller writes results[i]), and
 // first-failure exception propagation on top.
@@ -56,7 +57,13 @@ struct PoolStats {
   }
 };
 
-/// A fixed set of worker threads serving a FIFO queue of thunks.
+/// Up to size() worker threads serving a FIFO queue of thunks. A worker
+/// starts only when a task is queued and no idle worker can take it, so
+/// a pool used by parallel_for_each (the caller doubles as worker 0)
+/// never starts a thread that gets no work. An idle thread is not free:
+/// glibc attaches a malloc arena to every thread that allocates or frees
+/// (even once, at exit), and with two threads it would be chance which
+/// arena the work grows, so the memory a run leaves resident would vary.
 /// submit() never blocks; the destructor drains the queue, then joins.
 class ThreadPool {
  public:
@@ -72,8 +79,8 @@ class ThreadPool {
   /// than calling std::terminate.
   ~ThreadPool() noexcept(false);
 
-  /// Number of worker threads.
-  std::size_t size() const { return workers_.size(); }
+  /// Most worker threads the pool runs (started on demand).
+  std::size_t size() const { return shards_.size(); }
 
   /// Enqueues a task. A throwing task does not kill the worker: the
   /// first escaping exception is recorded and rethrown from
@@ -113,6 +120,7 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
+  std::size_t idle_ = 0;  ///< workers waiting for a task
   std::size_t queue_depth_peak_ = 0;
   std::exception_ptr first_error_;
 };
@@ -150,16 +158,20 @@ void parallel_for_each(ThreadPool& pool, std::size_t count, Fn&& fn) {
   const std::size_t workers = std::min(pool.size(), count);
   shared.running = workers;
 
-  auto drain = [&shared, count, &fn](std::size_t worker) {
-    for (;;) {
-      std::size_t index;
-      {
-        std::lock_guard<std::mutex> lock(shared.mutex);
-        if (shared.abort || shared.next >= count) {
-          break;
-        }
-        index = shared.next++;
-      }
+  auto claim = [&shared, count](std::size_t& index) {
+    std::lock_guard<std::mutex> lock(shared.mutex);
+    if (shared.abort || shared.next >= count) {
+      return false;
+    }
+    index = shared.next++;
+    return true;
+  };
+  // Runs `index` first if `claimed`, then claims indices until none are
+  // left.
+  auto drain = [&shared, &claim, &fn](std::size_t worker, bool claimed,
+                                      std::size_t index) {
+    while (claimed || claim(index)) {
+      claimed = false;
       try {
         fn(worker, index);
       } catch (...) {
@@ -177,12 +189,15 @@ void parallel_for_each(ThreadPool& pool, std::size_t count, Fn&& fn) {
     }
   };
 
-  for (std::size_t w = 1; w < workers; ++w) {
-    pool.submit([&drain, w] { drain(w); });
-  }
   // The calling thread doubles as worker 0, so a one-thread pool (or a
-  // pool busy with other work) still makes progress.
-  drain(0);
+  // pool busy with other work) still makes progress. It takes index 0
+  // before any worker starts: submit() may start a thread, and a worker
+  // that starts first must not leave the caller nothing to run.
+  shared.next = 1;
+  for (std::size_t w = 1; w < workers; ++w) {
+    pool.submit([&drain, w] { drain(w, false, 0); });
+  }
+  drain(0, true, 0);
 
   std::unique_lock<std::mutex> lock(shared.mutex);
   shared.done.wait(lock, [&shared] { return shared.running == 0; });
