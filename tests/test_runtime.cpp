@@ -1,7 +1,7 @@
 // ThreadPool / parallel_for_each semantics: ordered result collection,
-// dense worker ids, first-failure exception propagation, the zero-task
-// edge, and queue draining on destruction — the contract the parallel
-// campaign driver builds on.
+// dense worker ids, on-demand worker start, first-failure exception
+// propagation, the zero-task edge, and queue draining on destruction —
+// the contract the parallel campaign driver builds on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -150,6 +150,24 @@ TEST(ParallelForEach, WorkerIdsAreDense) {
   // worker 0 (the calling thread) always participates.
   EXPECT_LT(*workers.rbegin(), 3u);
   EXPECT_TRUE(workers.count(0));
+}
+
+TEST(ParallelForEach, AWidthTwoLoopStartsOneWorker) {
+  ThreadPool pool(2);
+  std::atomic<std::size_t> worker_of_first{99};
+  parallel_for_each(pool, 8, [&](std::size_t worker, std::size_t i) {
+    if (i == 0) {
+      worker_of_first = worker;
+    }
+  });
+  // The caller runs index 0; the one submitted task needs one thread,
+  // so the pool's second worker never starts and its shard stays empty.
+  EXPECT_EQ(worker_of_first.load(), 0u);
+  const PoolStats stats = pool.stats();
+  ASSERT_EQ(stats.per_worker.size(), 2u);
+  EXPECT_EQ(stats.per_worker[1].tasks, 0u);
+  EXPECT_EQ(stats.per_worker[1].busy_us, 0u);
+  EXPECT_EQ(stats.per_worker[1].idle_us, 0u);
 }
 
 TEST(ParallelForEach, ZeroTasksIsANoOp) {
