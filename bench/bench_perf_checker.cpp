@@ -53,6 +53,29 @@ void BM_ExploreBadGadget(benchmark::State& state) {
 }
 BENCHMARK(BM_ExploreBadGadget)->Unit(benchmark::kMillisecond);
 
+// Exploration plus witness extraction: BAD-GADGET under REF at bound 3
+// has a 1,296-state witness SCC, so the closed edge tour (over 100,000
+// steps) and its copy out of the step store dominate the row.
+void BM_ExploreWitness(benchmark::State& state) {
+  const Model m = Model::parse("REF");
+  const spp::Instance inst = spp::bad_gadget();
+  std::size_t states_explored = 0;
+  std::size_t cycle_steps = 0;
+  for (auto _ : state) {
+    const auto r = checker::explore(
+        inst, m, {.max_channel_length = 3, .extract_witness = true});
+    states_explored = r.states;
+    cycle_steps = r.witness_cycle.size();
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * states_explored));  // states/sec
+  state.SetLabel("BAD-GADGET REF (" + std::to_string(states_explored) +
+                 " states, " + std::to_string(cycle_steps) +
+                 "-step witness cycle)");
+}
+BENCHMARK(BM_ExploreWitness)->Unit(benchmark::kMillisecond);
+
 // Thread-scaling on the BAD-GADGET frontier: the same bounded
 // exploration at widths 1/2/4/8. Besides the wall-clock curve (only
 // meaningful on a machine with that many physical cores — on a 1-core

@@ -100,9 +100,9 @@ void BM_SimRunFaulted(benchmark::State& state) {
 BENCHMARK(BM_SimRunFaulted);
 
 void BM_BreakSearchSweep(benchmark::State& state) {
-  // The sweep machinery without a multi-second witness extraction:
-  // GOOD-GADGET resists single tie-break flips, so every attempt is a
-  // fast convergent explore and the search reports found == false.
+  // The sweep machinery without a witness extraction: GOOD-GADGET
+  // resists single tie-break flips, so every attempt is a fast
+  // convergent explore and the search reports found == false.
   const spp::Instance base = spp::good_gadget();
   const model::Model m = model::Model::parse("R1O");
   scenario::BreakSearchOptions opts;

@@ -5,11 +5,11 @@
 #include <deque>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "checker/state_set.hpp"
 #include "checker/successors.hpp"
+#include "checker/witness_tour.hpp"
 #include "engine/executor.hpp"
 #include "engine/runner.hpp"
 #include "runtime/thread_pool.hpp"
@@ -657,74 +657,35 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         // delivery for every dropping channel, and changes assignments),
         // plus the BFS prefix from the initial state to the tour start.
         const std::vector<StateId>& members = sccs[*witness_scc];
-        std::vector<bool> in_scc(graph.states.size(), false);
-        for (const StateId v : members) {
-          in_scc[v] = true;
+        constexpr std::uint32_t kOutside = static_cast<std::uint32_t>(-1);
+        std::vector<std::uint32_t> local(graph.states.size(), kOutside);
+        for (std::uint32_t i = 0; i < members.size(); ++i) {
+          local[members[i]] = i;
         }
-        const auto internal = [&](StateId v, const EdgeLabel& e) {
-          return !e.pruned && in_scc[v] && in_scc[e.to];
-        };
-
-        // BFS path (as step indices) between two SCC states.
-        const auto scc_path = [&](StateId from,
-                                  StateId to) -> std::vector<std::uint32_t> {
-          if (from == to) {
-            return {};
-          }
-          std::unordered_map<StateId, std::pair<StateId, std::uint32_t>>
-              via;  // state -> (predecessor, step index)
-          std::deque<StateId> bfs{from};
-          via.emplace(from, std::make_pair(from, kNoStep));
-          while (!bfs.empty()) {
-            const StateId at = bfs.front();
-            bfs.pop_front();
-            for (const EdgeLabel& e : graph.edges[at]) {
-              if (!internal(at, e) || via.count(e.to) != 0) {
-                continue;
-              }
-              via.emplace(e.to, std::make_pair(at, e.step_index));
-              if (e.to == to) {
-                std::vector<std::uint32_t> rev;
-                for (StateId w = to; w != from;
-                     w = via.at(w).first) {
-                  rev.push_back(via.at(w).second);
-                }
-                return {rev.rbegin(), rev.rend()};
-              }
-              bfs.push_back(e.to);
-            }
-          }
-          throw InvariantError("SCC is not strongly connected");
-        };
-
-        const StateId start = members.front();
-        StateId cursor = start;
-        std::vector<std::uint32_t> tour;
+        LocalGraph scc;
         for (const StateId v : members) {
           for (const EdgeLabel& e : graph.edges[v]) {
-            if (!internal(v, e)) {
-              continue;
+            if (!e.pruned && local[e.to] != kOutside) {
+              scc.heads.push_back(local[e.to]);
+              scc.labels.push_back(e.step_index);
             }
-            for (const std::uint32_t idx : scc_path(cursor, v)) {
-              tour.push_back(idx);
-            }
-            tour.push_back(e.step_index);
-            cursor = e.to;
           }
+          scc.offsets.push_back(static_cast<std::uint32_t>(scc.heads.size()));
         }
-        for (const std::uint32_t idx : scc_path(cursor, start)) {
-          tour.push_back(idx);
-        }
+        const std::vector<std::uint32_t> tour = closed_edge_tour(scc);
 
+        const StateId start = members.front();
         std::vector<std::uint32_t> prefix_rev;
         for (StateId at = start; at != 0;
              at = parents[at].from) {
           prefix_rev.push_back(parents[at].step_index);
         }
+        result.witness_prefix.reserve(prefix_rev.size());
         for (auto it = prefix_rev.rbegin(); it != prefix_rev.rend();
              ++it) {
           result.witness_prefix.push_back(step_store[*it]);
         }
+        result.witness_cycle.reserve(tour.size());
         for (const std::uint32_t idx : tour) {
           result.witness_cycle.push_back(step_store[idx]);
         }

@@ -56,9 +56,12 @@ struct ExploreOptions {
   /// Also construct a replayable witness for a found oscillation: a
   /// prefix script from the initial state to the witness SCC plus a cycle
   /// script touring every edge of the SCC (hence covering all channel
-  /// attempts and at least one assignment change). Costs memory
-  /// proportional to the number of transitions; leave off for large
-  /// sweeps.
+  /// attempts and at least one assignment change). The step store costs
+  /// memory proportional to the number of transitions. For a witness SCC
+  /// of n states and m internal edges the tour takes O(n * (n + m))
+  /// time and O(n + m) scratch, and holds at most (m + 1) * n steps
+  /// (BAD-GADGET under REF at bound 3: n = 1,296, a 116,341-step cycle).
+  /// Leave off for large sweeps.
   bool extract_witness = false;
   /// Optional metrics registry / JSONL event sink / span collector.
   /// Detached (the default) adds nothing measurable; attached,

@@ -121,7 +121,7 @@ TEST(ParallelChecker, WitnessFromEightThreadsReplays) {
   const spp::Instance inst = spp::bad_gadget();
   // REO finds the oscillation within a small graph at this bound (the
   // weak models need far more states before their witness SCC closes,
-  // and witness-tour construction is quadratic in SCC edges).
+  // and a larger witness SCC means a longer tour to replay).
   const Model m = Model::parse("REO");
   ExploreOptions options;
   options.max_channel_length = 2;

@@ -2,7 +2,9 @@
 // explorer fingerprints for all 24 models on three gadgets, the JSONL of
 // a full flight recording, and a sim_summary event. The expected values
 // were computed before NetworkState was repacked; any representation
-// change must reproduce them exactly.
+// change must reproduce them exactly. One more explorer cell pins a
+// large witness tour, computed before the tour was rebuilt on distance
+// labels.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,13 +41,9 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-/// "states transitions dedup_hits verdict witness-digest" for one cell.
-std::string explore_fingerprint(const spp::Instance& inst, const Model& m) {
-  checker::ExploreOptions options;
-  options.max_channel_length = 2;
-  options.max_states = 2000;
-  options.extract_witness = true;
-  const checker::ExploreResult r = checker::explore(inst, m, options);
+/// "states transitions dedup_hits verdict witness-digest" for one result.
+std::string fingerprint(const spp::Instance& inst,
+                        const checker::ExploreResult& r) {
   std::string witness = "prefix:";
   for (const auto& step : r.witness_prefix) {
     witness += step.to_string(inst) + "\n";
@@ -58,6 +56,15 @@ std::string explore_fingerprint(const spp::Instance& inst, const Model& m) {
          " " + std::to_string(r.dedup_hits) + " " +
          (r.oscillation_found ? "osc" : "no-osc") + " " +
          hex(fnv1a(witness));
+}
+
+/// The fingerprint of one grid cell: channel bound 2, cap 2000, witness.
+std::string explore_fingerprint(const spp::Instance& inst, const Model& m) {
+  checker::ExploreOptions options;
+  options.max_channel_length = 2;
+  options.max_states = 2000;
+  options.extract_witness = true;
+  return fingerprint(inst, checker::explore(inst, m, options));
 }
 
 struct GoldenCell {
@@ -168,6 +175,23 @@ TEST(StateGolden, ExplorerFingerprintsGoodGadget) {
 
 TEST(StateGolden, ExplorerFingerprintsDisagree) {
   expect_cells(spp::disagree(), kDisagree, "DISAGREE");
+}
+
+// BAD-GADGET under REF at channel bound 3 with the default cap: the
+// instance find_breaking_perturbation breaks GOOD-GADGET into, with a
+// 1,296-state witness SCC whose tour is over 100,000 steps, far larger
+// than any tour the grid above builds.
+TEST(StateGolden, ExplorerFingerprintLargeWitnessScc) {
+  const spp::Instance bad = spp::bad_gadget();
+  checker::ExploreOptions options;
+  options.max_channel_length = 3;
+  options.extract_witness = true;
+  const checker::ExploreResult r = checker::explore(bad, Model::parse("REF"),
+                                                    options);
+  EXPECT_EQ(r.witness_scc_size, 1296u);
+  EXPECT_EQ(r.witness_prefix.size(), 16u);
+  EXPECT_EQ(r.witness_cycle.size(), 116341u);
+  EXPECT_EQ(fingerprint(bad, r), "5159 45269 40111 osc 985afdb6642fea5e");
 }
 
 TEST(StateGolden, FullRecordingJsonl) {
