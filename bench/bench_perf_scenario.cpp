@@ -100,25 +100,53 @@ void BM_SimRunFaulted(benchmark::State& state) {
 BENCHMARK(BM_SimRunFaulted);
 
 void BM_BreakSearchSweep(benchmark::State& state) {
-  // The sweep machinery without a witness extraction: GOOD-GADGET
-  // resists single tie-break flips, so every attempt is a fast
-  // convergent explore and the search reports found == false.
+  // The sweep machinery on a search that finds nothing: GOOD-GADGET
+  // resists single tie-break flips, so every attempt is a convergent
+  // full explore (no proof to stop at) and the search reports
+  // found == false. An item is one search.
   const spp::Instance base = spp::good_gadget();
   const model::Model m = model::Model::parse("R1O");
   scenario::BreakSearchOptions opts;
   opts.specs.push_back(scenario::parse_perturb_spec("tiebreak:1"));
   opts.seeds_per_spec = 4;
   opts.explore.max_states = 50000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        scenario::find_breaking_perturbation(base, m, opts));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BreakSearchSweep)->Unit(benchmark::kMillisecond);
+
+void BM_BreakSearchFound(benchmark::State& state) {
+  // A search that breaks GOOD-GADGET (the three tie-break flips that
+  // rebuild BAD-GADGET), shrinks the edit set and extracts a witness:
+  // the path that stops at the first proof and re-meets instances the
+  // verdict memo has seen. An item is one search.
+  const spp::Instance base = spp::good_gadget();
+  const model::Model m = model::Model::parse("REF");
+  scenario::BreakSearchOptions opts;
+  for (const char* spec : {"tiebreak:1", "tiebreak:2", "tiebreak:3"}) {
+    opts.specs.push_back(scenario::parse_perturb_spec(spec));
+  }
+  opts.explore.max_channel_length = 3;
+  opts.explore.max_states = 50000;
   std::uint64_t explorations = 0;
   for (auto _ : state) {
     const scenario::BreakSearchResult r =
         scenario::find_breaking_perturbation(base, m, opts);
-    explorations += r.explorations;
+    if (!r.found) {
+      state.SkipWithError("the search no longer breaks GOOD-GADGET");
+      return;
+    }
+    explorations = r.explorations;
     benchmark::DoNotOptimize(r);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(explorations));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel("GOOD-GADGET REF, " + std::to_string(explorations) +
+                 " explorations per search");
 }
-BENCHMARK(BM_BreakSearchSweep);
+BENCHMARK(BM_BreakSearchFound)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

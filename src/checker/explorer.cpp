@@ -67,7 +67,9 @@ struct ConfigGraph {
 /// id until the merge renumbers it; `steps` parallels `successors` and
 /// is filled only under extract_witness. Slots are reused across waves
 /// (reset(), not destruction) so the per-successor buffers keep their
-/// capacity instead of churning the allocator once per expansion.
+/// capacity instead of churning the allocator once per expansion. With
+/// spans attached the slot carries its own timing, and the merge records
+/// its checker.expand span only if it merges the slot.
 struct ExpandResult {
   bool quiescent = false;
   trace::Assignment assignment;    ///< when quiescent
@@ -75,6 +77,9 @@ struct ExpandResult {
   std::size_t bound_skipped = 0;   ///< successors beyond the channel bound
   std::vector<EdgeLabel> successors;
   std::vector<model::ActivationStep> steps;
+  std::size_t worker = 0;  ///< which worker expanded the slot
+  std::chrono::steady_clock::time_point start{};
+  std::uint64_t dur_us = 0;
 
   void reset() {
     quiescent = false;
@@ -159,6 +164,77 @@ std::vector<std::vector<StateId>> tarjan_sccs(const ConfigGraph& graph) {
   return sccs;
 }
 
+/// The verdict pass (docs/CHECKER.md): within each SCC, prune drop-edges
+/// whose channel has no delivery-edge inside the same SCC, repeating
+/// until stable (pruning can split SCCs); then test every SCC for an
+/// assignment-changing edge and read attempts covering `all_channels`.
+/// Returns the members of the largest passing SCC (the first in SCC
+/// order among equals), empty when none passes. Leaves the pruned flags
+/// set, as the witness tour needs them; adds its passes to `passes`.
+std::vector<StateId> find_witness_scc(ConfigGraph& graph,
+                                      std::uint64_t all_channels,
+                                      const obs::Instrumentation& obs,
+                                      std::size_t& passes) {
+  for (;;) {
+    ++passes;
+    obs::Span pass_span = obs.span("checker.scc_prune_pass");
+    auto sccs = tarjan_sccs(graph);
+    std::vector<std::uint32_t> scc_of(graph.states.size(), 0);
+    for (std::uint32_t s = 0; s < sccs.size(); ++s) {
+      for (const StateId v : sccs[s]) {
+        scc_of[v] = s;
+      }
+    }
+
+    // Delivery-channel mask per SCC (internal edges only).
+    std::vector<std::uint64_t> scc_deliveries(sccs.size(), 0);
+    for (StateId v = 0; v < graph.states.size(); ++v) {
+      for (const EdgeLabel& e : graph.edges[v]) {
+        if (!e.pruned && scc_of[v] == scc_of[e.to]) {
+          scc_deliveries[scc_of[v]] |= e.deliveries;
+        }
+      }
+    }
+
+    bool pruned_any = false;
+    for (StateId v = 0; v < graph.states.size(); ++v) {
+      for (EdgeLabel& e : graph.edges[v]) {
+        if (e.pruned || scc_of[v] != scc_of[e.to]) {
+          continue;
+        }
+        if ((e.drops & ~scc_deliveries[scc_of[v]]) != 0) {
+          e.pruned = true;
+          pruned_any = true;
+        }
+      }
+    }
+    if (pruned_any) {
+      continue;
+    }
+
+    // Final verdict on this SCC decomposition.
+    std::vector<std::uint64_t> scc_attempts(sccs.size(), 0);
+    std::vector<bool> scc_pi_change(sccs.size(), false);
+    for (StateId v = 0; v < graph.states.size(); ++v) {
+      for (const EdgeLabel& e : graph.edges[v]) {
+        if (e.pruned || scc_of[v] != scc_of[e.to]) {
+          continue;
+        }
+        scc_attempts[scc_of[v]] |= e.attempts;
+        scc_pi_change[scc_of[v]] = scc_pi_change[scc_of[v]] || e.pi_changed;
+      }
+    }
+    std::vector<StateId> witness;
+    for (std::uint32_t s = 0; s < sccs.size(); ++s) {
+      if (scc_pi_change[s] && scc_attempts[s] == all_channels &&
+          sccs[s].size() > witness.size()) {
+        witness = std::move(sccs[s]);
+      }
+    }
+    return witness;
+  }
+}
+
 }  // namespace
 
 std::string ExploreResult::summary() const {
@@ -175,6 +251,9 @@ std::string ExploreResult::summary() const {
   }
   if (memory_limit_hit) {
     os << ", memory limit " << memory_limit << " bytes hit";
+  }
+  if (stopped_at_proof) {
+    os << ", stopped at the first proof";
   }
   if (!quiescent_assignments.empty()) {
     os << ", " << quiescent_assignments.size()
@@ -285,14 +364,15 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
   // Parallel machinery: a pool (threads > 1 only) and per-worker obs
   // shards — each worker owns a registry and span collector, merged
-  // commutatively below, so the expansion hot path never contends on
-  // the caller's handles. Width 1 expands through one shard too, so the
-  // merged span tree has the same shape at every width.
+  // commutatively below. A slot's checker.expand span goes to the shard
+  // of the worker that expanded it, recorded by the merge loop and only
+  // for slots it merges, so a run that stops mid-batch records exactly
+  // the expansions it kept. Width 1 expands through one shard too, so
+  // the merged span tree has the same shape at every width.
   std::optional<runtime::ThreadPool> pool;
   struct WorkerCtx {
     obs::Registry metrics;
     obs::SpanCollector spans;
-    obs::Instrumentation obs;
     obs::Histogram* expand_hist = nullptr;
   };
   std::deque<WorkerCtx> workers;  // deque: SpanCollector is not movable
@@ -302,13 +382,10 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   for (std::size_t w = 0; w < threads; ++w) {
     workers.emplace_back();
   }
-  for (WorkerCtx& w : workers) {
-    if (options.obs.metrics != nullptr) {
-      w.obs.metrics = &w.metrics;
-    }
-    if (options.obs.spans != nullptr) {
-      w.obs.spans = &w.spans;
-      w.expand_hist = w.obs.histogram(
+  const bool timed = options.obs.spans != nullptr;
+  if (timed && options.obs.metrics != nullptr) {
+    for (WorkerCtx& w : workers) {
+      w.expand_hist = &w.metrics.histogram(
           "checker.expand_us", obs::exponential_buckets(1, 4.0, 10));
     }
   }
@@ -323,12 +400,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   std::vector<ExpandResult> results;
   std::vector<std::pair<std::uint32_t, const engine::NetworkState*>> fresh;
 
-  const auto expand_one = [&](const obs::Instrumentation& wobs,
-                              obs::Histogram* whist, std::size_t i) {
-    ExpandResult& out = results[i];
-    const engine::NetworkState& s = graph.state(batch[i]);
-    obs::Span expand_span = wobs.span("checker.expand");
-
+  const auto expand = [&](ExpandResult& out, const engine::NetworkState& s) {
     // Strongly quiescent states are terminal: no step changes anything.
     if (engine::strongly_quiescent(s)) {
       out.quiescent = true;
@@ -336,11 +408,11 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       return;
     }
 
-    const std::vector<model::ActivationStep> steps =
+    std::vector<model::ActivationStep> steps =
         enumerate_steps(s, m, successor_options);
     out.raw_successors = steps.size();
     out.successors.reserve(steps.size());
-    for (const model::ActivationStep& step : steps) {
+    for (model::ActivationStep& step : steps) {
       engine::NetworkState next = s;
       const engine::StepEffect effect = engine::execute_step(next, step);
 
@@ -365,21 +437,55 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       label.to = seen.intern(std::move(next)).id;  // provisional
       out.successors.push_back(label);
       if (options.extract_witness) {
-        out.steps.push_back(step);
-      }
-    }
-    if (expand_span.enabled()) {
-      expand_span.attr("successors",
-                       static_cast<std::uint64_t>(steps.size()));
-      if (whist != nullptr) {
-        whist->observe(expand_span.elapsed_us());
+        out.steps.push_back(std::move(step));
       }
     }
   };
+  const auto expand_one = [&](std::size_t worker, std::size_t i) {
+    ExpandResult& out = results[i];
+    out.worker = worker;
+    if (timed) {
+      out.start = std::chrono::steady_clock::now();
+    }
+    expand(out, graph.state(batch[i]));
+    if (timed) {
+      out.dur_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - out.start)
+              .count());
+    }
+  };
+  // The merged slot's checker.expand span, in its worker's shard.
+  const auto record_expand_span = [&](const ExpandResult& out) {
+    WorkerCtx& w = workers[out.worker];
+    if (out.quiescent) {
+      w.spans.record_timed("checker.expand", out.start, out.dur_us);
+      return;
+    }
+    w.spans.record_timed(
+        "checker.expand", out.start, out.dur_us,
+        obs::JsonWriter()
+            .field("successors",
+                   static_cast<std::uint64_t>(out.raw_successors))
+            .str());
+    if (w.expand_hist != nullptr) {
+      w.expand_hist->observe(out.dur_us);
+    }
+  };
 
-  bool truncated = false;
-  std::uint64_t unmerged = 0;  ///< batch slots abandoned by a memory break
-  while (!searcher->empty() && !truncated) {
+  // Proof on the fly: the verdict pass runs on the merged graph after
+  // kFirstProofCheckpoint * 2^k merged expansions.
+  constexpr std::uint64_t kFirstProofCheckpoint = 64;
+  std::uint64_t next_checkpoint = kFirstProofCheckpoint;
+  const std::uint64_t all_channels =
+      (instance.graph().channel_count() == 64)
+          ? ~0ULL
+          : ((1ULL << instance.graph().channel_count()) - 1);
+  std::vector<StateId> witness_scc;
+
+  bool stopped = false;
+  std::uint64_t unmerged = 0;  ///< batch slots abandoned by a stop
+  while (!searcher->empty() && !stopped) {
     batch.clear();
     while (batch.size() < batch_target && !searcher->empty()) {
       batch.push_back(searcher->select());
@@ -393,15 +499,10 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
     if (threads == 1) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        expand_one(workers[0].obs, workers[0].expand_hist, i);
+        expand_one(0, i);
       }
     } else {
-      runtime::parallel_for_each(
-          *pool, batch.size(),
-          [&](std::size_t worker, std::size_t i) {
-            expand_one(workers[worker].obs, workers[worker].expand_hist,
-                       i);
-          });
+      runtime::parallel_for_each(*pool, batch.size(), expand_one);
     }
 
     // Index this wave's discoveries by provisional id.
@@ -420,7 +521,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         result.memory_limit_hit = true;
         result.memory_limit = options.memory_limit_bytes;
         unmerged = batch.size() - i;
-        truncated = true;
+        stopped = true;
         break;
       }
       const StateId id = batch[i];
@@ -471,14 +572,15 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       }
 
       ExpandResult& out = results[i];
-      if (out.quiescent) {
-        if (std::find(quiescent.begin(), quiescent.end(),
-                      out.assignment) == quiescent.end()) {
-          quiescent.push_back(std::move(out.assignment));
-        }
-        continue;
+      if (timed) {
+        record_expand_span(out);
       }
-      if (sketched) {
+      if (out.quiescent &&
+          std::find(quiescent.begin(), quiescent.end(), out.assignment) ==
+              quiescent.end()) {
+        quiescent.push_back(std::move(out.assignment));
+      }
+      if (sketched && !out.quiescent) {
         result.successor_hist.observe(out.raw_successors);
       }
       if (out.bound_skipped > 0) {
@@ -542,8 +644,26 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         // later slots in this wave are discarded exactly as if they
         // were never expanded, matching the serial stop point.
         unmerged = batch.size() - 1 - i;
-        truncated = true;
+        stopped = true;
         break;
+      }
+      if (options.stop_at_first_proof && expanded == next_checkpoint) {
+        next_checkpoint *= 2;
+        witness_scc = find_witness_scc(graph, all_channels, options.obs,
+                                       result.scc_prune_passes);
+        if (!witness_scc.empty()) {
+          // A proof: stop here, discarding the rest of the wave as the
+          // state cap does. The pruned flags stay for the witness tour.
+          result.stopped_at_proof = true;
+          unmerged = batch.size() - 1 - i;
+          stopped = true;
+          break;
+        }
+        for (std::vector<EdgeLabel>& row : graph.edges) {
+          for (EdgeLabel& e : row) {
+            e.pruned = false;
+          }
+        }
       }
     }
   }
@@ -563,17 +683,18 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
   if (options.progress != nullptr) {
     const std::uint64_t remaining = searcher->size() + unmerged;
-    if (truncated) {
+    if (stopped) {
       // Exploration is over even though the frontier is not empty:
       // report done == total so the fraction lands on 1.0 instead of
-      // freezing short with a dangling ETA, and carry the truncation
-      // reason in the detail label.
+      // freezing short with a dangling ETA, and carry the reason in the
+      // detail label.
       const std::uint64_t total = expanded + remaining;
       options.progress->update(total, total);
       options.progress->set_detail(remaining);
       options.progress->set_detail_label(
-          result.memory_limit_hit ? "truncated:memory_limit"
-                                  : "truncated:state_cap");
+          result.stopped_at_proof   ? "stopped:proof"
+          : result.memory_limit_hit ? "truncated:memory_limit"
+                                    : "truncated:state_cap");
     } else {
       options.progress->update(expanded, expanded + remaining);
       options.progress->set_detail(remaining);
@@ -582,115 +703,48 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   result.states = graph.states.size();
   result.quiescent_assignments = std::move(quiescent);
   result.exhaustive = !result.state_cap_hit && !result.channel_bound_hit &&
-                      !result.memory_limit_hit;
+                      !result.memory_limit_hit && !result.stopped_at_proof;
 
-  // Drop-fairness fixpoint: within each SCC, prune drop-edges whose
-  // channel has no delivery-edge inside the same SCC; repeat until stable
-  // (pruning can split SCCs).
-  const std::uint64_t all_channels =
-      (instance.graph().channel_count() == 64)
-          ? ~0ULL
-          : ((1ULL << instance.graph().channel_count()) - 1);
+  if (!result.stopped_at_proof) {
+    witness_scc = find_witness_scc(graph, all_channels, options.obs,
+                                   result.scc_prune_passes);
+  }
+  result.oscillation_found = !witness_scc.empty();
+  result.witness_scc_size = witness_scc.size();
 
-  for (;;) {
-    ++result.scc_prune_passes;
-    obs::Span pass_span = options.obs.span("checker.scc_prune_pass");
-    const auto sccs = tarjan_sccs(graph);
-    std::vector<std::uint32_t> scc_of(graph.states.size(), 0);
-    for (std::uint32_t s = 0; s < sccs.size(); ++s) {
-      for (const StateId v : sccs[s]) {
-        scc_of[v] = s;
-      }
+  if (options.extract_witness && result.oscillation_found) {
+    // Build a closed tour through *every* internal edge of the witness
+    // SCC (so the loop attempts every channel, performs a delivery for
+    // every dropping channel, and changes assignments), plus the BFS
+    // prefix from the initial state to the tour start.
+    constexpr std::uint32_t kOutside = static_cast<std::uint32_t>(-1);
+    std::vector<std::uint32_t> local(graph.states.size(), kOutside);
+    for (std::uint32_t i = 0; i < witness_scc.size(); ++i) {
+      local[witness_scc[i]] = i;
     }
-
-    // Delivery-channel mask per SCC (internal edges only).
-    std::vector<std::uint64_t> scc_deliveries(sccs.size(), 0);
-    for (StateId v = 0; v < graph.states.size(); ++v) {
+    LocalGraph scc;
+    for (const StateId v : witness_scc) {
       for (const EdgeLabel& e : graph.edges[v]) {
-        if (!e.pruned && scc_of[v] == scc_of[e.to]) {
-          scc_deliveries[scc_of[v]] |= e.deliveries;
+        if (!e.pruned && local[e.to] != kOutside) {
+          scc.heads.push_back(local[e.to]);
+          scc.labels.push_back(e.step_index);
         }
       }
+      scc.offsets.push_back(static_cast<std::uint32_t>(scc.heads.size()));
     }
+    const std::vector<std::uint32_t> tour = closed_edge_tour(scc);
 
-    bool pruned_any = false;
-    for (StateId v = 0; v < graph.states.size(); ++v) {
-      for (EdgeLabel& e : graph.edges[v]) {
-        if (e.pruned || scc_of[v] != scc_of[e.to]) {
-          continue;
-        }
-        if ((e.drops & ~scc_deliveries[scc_of[v]]) != 0) {
-          e.pruned = true;
-          pruned_any = true;
-        }
-      }
+    std::vector<std::uint32_t> prefix_rev;
+    for (StateId at = witness_scc.front(); at != 0; at = parents[at].from) {
+      prefix_rev.push_back(parents[at].step_index);
     }
-
-    if (!pruned_any) {
-      // Final verdict on this SCC decomposition.
-      std::vector<std::uint64_t> scc_attempts(sccs.size(), 0);
-      std::vector<bool> scc_pi_change(sccs.size(), false);
-      for (StateId v = 0; v < graph.states.size(); ++v) {
-        for (const EdgeLabel& e : graph.edges[v]) {
-          if (e.pruned || scc_of[v] != scc_of[e.to]) {
-            continue;
-          }
-          scc_attempts[scc_of[v]] |= e.attempts;
-          scc_pi_change[scc_of[v]] =
-              scc_pi_change[scc_of[v]] || e.pi_changed;
-        }
-      }
-      std::optional<std::uint32_t> witness_scc;
-      for (std::uint32_t s = 0; s < sccs.size(); ++s) {
-        if (scc_pi_change[s] && scc_attempts[s] == all_channels) {
-          result.oscillation_found = true;
-          if (sccs[s].size() > result.witness_scc_size) {
-            result.witness_scc_size = sccs[s].size();
-            witness_scc = s;
-          }
-        }
-      }
-
-      if (options.extract_witness && witness_scc.has_value()) {
-        // Build a closed tour through *every* internal edge of the
-        // witness SCC (so the loop attempts every channel, performs a
-        // delivery for every dropping channel, and changes assignments),
-        // plus the BFS prefix from the initial state to the tour start.
-        const std::vector<StateId>& members = sccs[*witness_scc];
-        constexpr std::uint32_t kOutside = static_cast<std::uint32_t>(-1);
-        std::vector<std::uint32_t> local(graph.states.size(), kOutside);
-        for (std::uint32_t i = 0; i < members.size(); ++i) {
-          local[members[i]] = i;
-        }
-        LocalGraph scc;
-        for (const StateId v : members) {
-          for (const EdgeLabel& e : graph.edges[v]) {
-            if (!e.pruned && local[e.to] != kOutside) {
-              scc.heads.push_back(local[e.to]);
-              scc.labels.push_back(e.step_index);
-            }
-          }
-          scc.offsets.push_back(static_cast<std::uint32_t>(scc.heads.size()));
-        }
-        const std::vector<std::uint32_t> tour = closed_edge_tour(scc);
-
-        const StateId start = members.front();
-        std::vector<std::uint32_t> prefix_rev;
-        for (StateId at = start; at != 0;
-             at = parents[at].from) {
-          prefix_rev.push_back(parents[at].step_index);
-        }
-        result.witness_prefix.reserve(prefix_rev.size());
-        for (auto it = prefix_rev.rbegin(); it != prefix_rev.rend();
-             ++it) {
-          result.witness_prefix.push_back(step_store[*it]);
-        }
-        result.witness_cycle.reserve(tour.size());
-        for (const std::uint32_t idx : tour) {
-          result.witness_cycle.push_back(step_store[idx]);
-        }
-      }
-      break;
+    result.witness_prefix.reserve(prefix_rev.size());
+    for (auto it = prefix_rev.rbegin(); it != prefix_rev.rend(); ++it) {
+      result.witness_prefix.push_back(step_store[*it]);
+    }
+    result.witness_cycle.reserve(tour.size());
+    for (const std::uint32_t idx : tour) {
+      result.witness_cycle.push_back(step_store[idx]);
     }
   }
 
@@ -762,6 +816,10 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
                  static_cast<std::uint64_t>(
                      result.quiescent_assignments.size()))
           .field("wall_us", wall_us);
+      if (options.stop_at_first_proof) {
+        // Gated like obs_budget below: full-mode lines keep their bytes.
+        ev.field("stopped_at_proof", result.stopped_at_proof);
+      }
       if (sketched) {
         // Gated so full-mode checker_summary lines keep their exact
         // pre-budget bytes.

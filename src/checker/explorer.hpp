@@ -19,7 +19,9 @@
 // When the channel bound or the state cap is hit the result is marked
 // non-exhaustive: a "no oscillation" verdict then only covers executions
 // whose channels stay within the bound. For the paper's gadgets the
-// default bound is never hit, so verdicts are complete.
+// default bound is never hit, so verdicts are complete. The test is
+// sound on any explored subgraph too, which ExploreOptions::
+// stop_at_first_proof uses to stop at the first proven oscillation.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +92,8 @@ struct ExploreOptions {
   /// every 256 expansions. On truncation (state cap / memory limit) the
   /// final update reports done == total — exploration is over even
   /// though the frontier is non-empty — and rewrites the detail label
-  /// to "truncated:<reason>". Borrowed; must outlive the call.
+  /// to "truncated:<reason>" ("stopped:proof" after a stop at a proof).
+  /// Borrowed; must outlive the call.
   obs::ProgressEstimator* progress = nullptr;
   /// Worker threads for frontier expansion: 1 (default) explores on the
   /// calling thread; 0 means hardware_concurrency(). Exploration is
@@ -109,6 +112,17 @@ struct ExploreOptions {
   SearcherKind searcher = SearcherKind::kBFS;
   /// Seed for SearcherKind::kRandomPath.
   std::uint64_t searcher_seed = 0;
+  /// Stop at the first proof of a fair oscillation. The verdict pass
+  /// also runs on the graph merged so far after 64·2^k merged
+  /// expansions (k = 0, 1, ...), counted in merge order, so the stop
+  /// point is the same at every width. A checkpoint that proves an
+  /// oscillation ends exploration there, like the state cap: the result
+  /// has `stopped_at_proof` set, is not `exhaustive`, and its counts and
+  /// witness describe that prefix. A checkpoint without a proof changes
+  /// nothing, so a "no oscillation" verdict still covers the whole
+  /// graph (docs/CHECKER.md, "Proof on the fly"). Off by default: full
+  /// graphs are what paper artifacts and state counts report.
+  bool stop_at_first_proof = false;
 };
 
 /// Independent count- and time-based heartbeat cadences. The two
@@ -150,12 +164,16 @@ class HeartbeatCadence {
 
 struct ExploreResult {
   bool oscillation_found = false;
-  /// True when the full reachable graph was explored (no bound hit); a
-  /// negative oscillation verdict is then a proof for this instance+model.
+  /// True when the full reachable graph was explored (no bound hit, no
+  /// stop at a proof); a negative oscillation verdict is then a proof
+  /// for this instance+model.
   bool exhaustive = false;
   bool channel_bound_hit = false;
   bool state_cap_hit = false;
   bool memory_limit_hit = false;
+  /// ExploreOptions::stop_at_first_proof ended exploration at a
+  /// checkpoint that proved an oscillation.
+  bool stopped_at_proof = false;
 
   std::size_t states = 0;
   std::size_t transitions = 0;

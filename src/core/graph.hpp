@@ -76,6 +76,12 @@ class Graph {
   /// True if every consecutive pair on `p` is an edge.
   bool supports_path(const Path& p) const;
 
+  /// Same node names and edges, added in the same order (so the same
+  /// node and channel numbering).
+  bool operator==(const Graph& other) const {
+    return names_ == other.names_ && edges_ == other.edges_;
+  }
+
  private:
   std::vector<std::string> names_;
   std::unordered_map<std::string, NodeId> by_name_;

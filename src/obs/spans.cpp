@@ -59,6 +59,25 @@ Span SpanCollector::begin(std::string_view name) {
   return Span(this, id, parent, state.tid, start, name);
 }
 
+void SpanCollector::record_timed(std::string_view name,
+                                 std::chrono::steady_clock::time_point start,
+                                 std::uint64_t dur_us, std::string args_json) {
+  SpanRecord rec;
+  rec.start_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
+      0, std::chrono::duration_cast<std::chrono::microseconds>(start - epoch_)
+             .count()));
+  rec.dur_us = dur_us;
+  rec.name = name;
+  rec.args_json = std::move(args_json);
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  const ThreadState& state = state_for(std::this_thread::get_id());
+  rec.id = next_id_++;
+  rec.parent = state.open.empty() ? 0 : state.open.back();
+  rec.tid = state.tid;
+  records_.push_back(std::move(rec));
+}
+
 void SpanCollector::record(Span& span, std::uint64_t dur_us) {
   SpanRecord rec;
   rec.id = span.id_;

@@ -101,6 +101,15 @@ class SpanCollector {
   /// Starts a span nested under the calling thread's innermost open span.
   Span begin(std::string_view name);
 
+  /// Records a region timed elsewhere (`start`, `dur_us`) as a finished
+  /// span nested under the calling thread's innermost open span. For
+  /// work whose record is kept or dropped after it ran: the explorer
+  /// times every expansion on its worker but records only those its
+  /// merge keeps. `args_json` is "{...}" or "" as in SpanRecord.
+  void record_timed(std::string_view name,
+                    std::chrono::steady_clock::time_point start,
+                    std::uint64_t dur_us, std::string args_json = {});
+
   /// Copy of all finished records, in finish order.
   std::vector<SpanRecord> snapshot() const;
 

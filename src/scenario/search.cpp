@@ -1,5 +1,6 @@
 #include "scenario/search.hpp"
 
+#include <map>
 #include <utility>
 
 #include "support/error.hpp"
@@ -31,11 +32,32 @@ BreakSearchResult find_breaking_perturbation(
     const BreakSearchOptions& options) {
   checker::ExploreOptions probe = options.explore;
   probe.extract_witness = false;
+  probe.stop_at_first_proof = true;
 
   BreakSearchResult result;
-  const checker::ExploreResult base = checker::explore(instance, m, probe);
-  ++result.explorations;
-  CR_REQUIRE(!base.oscillation_found,
+  // Verdicts of this call, one exploration per distinct instance. Every
+  // candidate is the base with its rankings edited, so the rankings are
+  // the whole key; a flip set that undoes itself, a repeated attempt and
+  // a shrink trial re-checking an earlier attempt all hit the memo.
+  std::map<std::vector<std::vector<Path>>, bool> verdicts;
+  const auto oscillates = [&](const spp::Instance& candidate) {
+    CR_ASSERT(candidate.graph() == instance.graph() &&
+                  candidate.destination() == instance.destination() &&
+                  &candidate.export_policy() == &instance.export_policy(),
+              "a perturbed instance changed more than the rankings");
+    std::vector<std::vector<Path>> rankings(candidate.node_count());
+    for (NodeId v = 0; v < candidate.node_count(); ++v) {
+      rankings[v] = candidate.permitted(v);
+    }
+    const auto [it, fresh] = verdicts.try_emplace(std::move(rankings), false);
+    if (fresh) {
+      it->second = checker::explore(candidate, m, probe).oscillation_found;
+      ++result.explorations;
+    }
+    return it->second;
+  };
+
+  CR_REQUIRE(!oscillates(instance),
              "find_breaking_perturbation: the base instance already "
              "oscillates under " + m.name() + " — there is nothing to break");
 
@@ -48,14 +70,9 @@ BreakSearchResult find_breaking_perturbation(
     for (std::size_t k = 0; k < options.seeds_per_spec; ++k) {
       const std::uint64_t seed = Rng::fork_seed(spec_seed, k);
       PerturbResult perturbed = perturb(instance, spec, seed);
-      if (perturbed.record.edits.empty()) {
-        continue;  // no eligible site — smaller instance than the family
-      }
-      const checker::ExploreResult attempt =
-          checker::explore(perturbed.instance, m, probe);
-      ++result.explorations;
-      if (!attempt.oscillation_found) {
-        continue;
+      if (perturbed.record.edits.empty() || !oscillates(perturbed.instance)) {
+        continue;  // no eligible site (smaller instance than the family),
+                   // or still convergent
       }
 
       // Greedy shrink: drop edits one at a time while the oscillation
@@ -65,23 +82,15 @@ BreakSearchResult find_breaking_perturbation(
       for (std::size_t i = 0; i < edits.size() && edits.size() > 1;) {
         std::vector<PerturbEdit> trial = edits;
         trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-        std::size_t applied = 0;
-        const spp::Instance candidate =
-            apply_edits(instance, trial, &applied);
-        bool still_breaks = false;
-        if (applied > 0) {
-          still_breaks =
-              checker::explore(candidate, m, probe).oscillation_found;
-          ++result.explorations;
-        }  // applied == 0 would re-check the stable base: skip it
-        if (still_breaks) {
+        if (oscillates(apply_edits(instance, trial))) {
           edits = std::move(trial);  // dropped; retry the same position
         } else {
           ++i;  // necessary; keep it
         }
       }
 
-      // Final run with witness extraction on the shrunken instance.
+      // Final run with witness extraction on the shrunken instance; the
+      // witness comes from the prefix that proves the oscillation.
       checker::ExploreOptions witness_opts = probe;
       witness_opts.extract_witness = true;
       std::size_t applied = 0;

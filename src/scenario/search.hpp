@@ -11,6 +11,12 @@
 // oscillation witness for the broken instance. Everything is
 // deterministic in (instance, model, options): the sweep order, the
 // per-attempt seeds (support::Rng::fork_seed), and the checker verdicts.
+//
+// Every exploration stops at the first proof of an oscillation
+// (checker::ExploreOptions::stop_at_first_proof), and one call explores
+// each distinct instance once: its verdicts are memoized by ranking
+// content, so repeated flip sets and shrink trials that re-check an
+// earlier attempt cost nothing.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +40,9 @@ struct BreakSearchOptions {
   std::size_t seeds_per_spec = 8;
   /// Base seed; per-attempt seeds fork from it deterministically.
   std::uint64_t seed = 1;
-  /// Bounds for every checker::explore call. extract_witness is managed
-  /// internally (off while probing, on for the final witness run).
+  /// Bounds for every checker::explore call. extract_witness and
+  /// stop_at_first_proof are managed internally (the witness only for
+  /// the final run; every run stops at its first proof).
   checker::ExploreOptions explore;
   /// Additionally run checker::minimize_oscillating_instance on the
   /// broken instance (delta-debugging its permitted paths, on top of
@@ -46,7 +53,8 @@ struct BreakSearchOptions {
 struct BreakSearchResult {
   /// A breaking perturbation was found within the sweep budget.
   bool found = false;
-  /// checker::explore calls spent (the cost driver).
+  /// checker::explore calls spent, which set the cost: one per distinct
+  /// instance checked, base included, plus the witness run when found.
   std::uint64_t explorations = 0;
   /// Provenance of the break (valid iff found): `record.edits` is the
   /// shrunken, locally minimal edit set — removing any single edit
@@ -56,7 +64,8 @@ struct BreakSearchResult {
   std::optional<spp::Instance> instance;
   /// Replayable oscillation witness for `instance` under the model:
   /// play prefix then loop cycle forever (checker::ExploreResult
-  /// witness contract).
+  /// witness contract). It comes from the explored prefix that proves
+  /// the oscillation, so it can be shorter than a full exploration's.
   model::ActivationScript witness_prefix;
   model::ActivationScript witness_cycle;
   std::size_t witness_scc_size = 0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -157,6 +158,26 @@ TEST(Span, FinishIsIdempotent) {
   span.finish();
   span.finish();
   EXPECT_EQ(collector.size(), 1u);
+}
+
+TEST(Span, RecordTimedNestsUnderTheOpenSpanWithItsOwnTiming) {
+  obs::SpanCollector collector;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    obs::Span outer = collector.begin("outer");
+    collector.record_timed("timed", start, 7, "{\"k\":1}");
+  }
+  collector.record_timed("root", start, 3);
+  const auto records = collector.snapshot();
+  ASSERT_EQ(records.size(), 3u);
+  const obs::SpanRecord* timed = find_span(records, "timed");
+  const obs::SpanRecord* root = find_span(records, "root");
+  EXPECT_EQ(timed->parent, find_span(records, "outer")->id);
+  EXPECT_EQ(timed->dur_us, 7u);
+  EXPECT_EQ(timed->args_json, "{\"k\":1}");
+  EXPECT_EQ(root->parent, 0u);
+  EXPECT_EQ(root->args_json, "");
+  EXPECT_NE(root->id, timed->id);
 }
 
 TEST(Span, ThreadsGetDistinctTidsAndIndependentNesting) {
@@ -671,6 +692,44 @@ TEST(SpanShape, ExploreTreeIsTheSameAtEveryWidth) {
       reference = shape;
     } else {
       EXPECT_EQ(shape, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(SpanShape, StoppedExploreTreeIsTheSameAtEveryWidth) {
+  // A run that stops mid-batch, at the state cap or at the first proof,
+  // records checker.expand spans only for the expansions it merged:
+  // the slots a wider batch expanded past the stop leave no span.
+  struct Stop {
+    const char* what;
+    spp::Instance instance;
+    const char* model;
+    checker::ExploreOptions options;
+  };
+  Stop capped{"state cap", spp::disagree(), "U1O", {}};
+  capped.options.max_channel_length = 2;
+  capped.options.max_states = 500;
+  Stop proven{"proof", spp::bad_gadget(), "REF", {}};
+  proven.options.max_channel_length = 3;
+  proven.options.stop_at_first_proof = true;
+  for (const Stop* stop : {&capped, &proven}) {
+    std::vector<std::pair<std::string, std::string>> reference;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      obs::SpanCollector collector;
+      checker::ExploreOptions options = stop->options;
+      options.threads = threads;
+      options.obs.spans = &collector;
+      const auto result = checker::explore(
+          stop->instance, Model::parse(stop->model), options);
+      ASSERT_TRUE(result.state_cap_hit || result.stopped_at_proof)
+          << stop->what;
+      const auto shape = tree_shape(collector.snapshot());
+      if (threads == 1) {
+        reference = shape;
+      } else {
+        EXPECT_EQ(shape, reference)
+            << stop->what << ", threads=" << threads;
+      }
     }
   }
 }
