@@ -7,9 +7,10 @@
 //   $ ./campaign_study --trace campaign.json   # span trace for Perfetto
 //   $ ./campaign_study --recordings DIR   # flight-record non-converged
 //                                         # runs into DIR (ring buffer)
-//   $ ./campaign_study --threads N   # worker threads (0 = all cores,
-//                                    # 1 = serial); output is identical
-//                                    # for any N, modulo wall_ms
+//   $ ./campaign_study --threads N   # worker threads (default: all
+//                                    # cores); every N runs the same
+//                                    # code and gives identical output,
+//                                    # modulo wall_ms
 //   $ ./campaign_study --telemetry tele.jsonl   # periodic resource
 //                                    # snapshots + pool_summary (side
 //                                    # channel: RSS and wall-clock live

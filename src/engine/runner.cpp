@@ -238,12 +238,10 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     // RandomFairScheduler): record it so kExhausted rows can be told
     // apart from "could never have detected a cycle".
     if (options.obs.metrics != nullptr) {
-      // kSum + add: per-shard occurrences accumulate across runs and
-      // across Registry::merge_from, so a campaign-level registry counts
-      // how many rows ran blind instead of silently max-merging to 1.
-      options.obs.metrics
-          ->gauge("engine.cycle_detection_disabled", obs::GaugeMerge::kSum)
-          .add(1);
+      // A counter: occurrences add across runs and across
+      // Registry::merge_from, so a campaign-level registry counts how
+      // many rows ran blind.
+      options.obs.metrics->counter("engine.cycle_detection_disabled").add();
     }
     if (options.obs.sink != nullptr) {
       obs::Event ev("cycle_detection_disabled");
@@ -462,12 +460,9 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
           .attr("steps", result.steps);
       run_span.finish();
     }
-    if (obs::Histogram* h = options.obs.histogram(
-            "engine.run_us", obs::exponential_buckets(16, 4.0, 10))) {
-      h->observe(wall_us);
-    }
     if (options.obs.metrics != nullptr) {
       obs::Registry& m = *options.obs.metrics;
+      m.histogram("engine.run_us").observe(wall_us);
       m.counter("engine.runs").add();
       m.counter("engine.steps").add(result.steps);
       m.counter("engine.messages_sent").add(result.messages_sent);
@@ -477,8 +472,7 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
           .record_max(result.max_channel_occupancy);
       m.gauge("engine.peak_channel_bytes")
           .record_max(result.peak_channel_bytes);
-      m.histogram("engine.run_steps", obs::exponential_buckets(16, 4.0, 8))
-          .observe(result.steps);
+      m.histogram("engine.run_steps").observe(result.steps);
       if (options.causality) {
         m.gauge("engine.critical_path_len")
             .record_max(result.critical_path_len);

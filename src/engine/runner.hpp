@@ -130,7 +130,7 @@ struct RunResult {
   /// signature. False with detect_cycles on means kExhausted cannot be
   /// told apart from "oscillating but undetectable" (e.g. the
   /// RandomFairScheduler has no signature); run() then also publishes a
-  /// cycle_detection_disabled gauge/event when instrumentation is
+  /// cycle_detection_disabled counter/event when instrumentation is
   /// attached, so campaign users can see which rows ran blind.
   bool cycle_detection = false;
   /// Fairness summary of the executed prefix.

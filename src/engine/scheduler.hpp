@@ -176,7 +176,7 @@ struct RandomFairOptions {
 /// cycles under it — a non-terminating random execution reports
 /// kExhausted, never kOscillating. run() flags this via
 /// RunResult::cycle_detection = false and, when instrumentation is
-/// attached, a cycle_detection_disabled gauge/event.
+/// attached, a cycle_detection_disabled counter/event.
 class RandomFairScheduler final : public Scheduler {
  public:
   using Options = RandomFairOptions;

@@ -121,7 +121,7 @@ class SpanCollector {
   /// thread's innermost open span here, and stay roots when none is open.
   /// Spans still open in `other` are not migrated. This is how per-worker
   /// span shards collapse into a campaign-level collector after a
-  /// parallel sweep, nested where the serial code would have put them.
+  /// parallel sweep, nested under the span the sweep runs in.
   void merge_from(const SpanCollector& other);
 
   /// Number of finished records so far.

@@ -1,5 +1,5 @@
 // Fixed-size worker pool for embarrassingly-parallel drivers (the
-// campaign runner, future sharded checkers). Tasks are plain
+// campaign runner and the checker's expansion waves). Tasks are plain
 // std::function thunks served FIFO by up to a fixed number of worker
 // threads, started on demand;
 // parallel_for_each layers dynamic index claiming, dense worker ids,
@@ -67,9 +67,10 @@ struct PoolStats {
 /// submit() never blocks; the destructor drains the queue, then joins.
 class ThreadPool {
  public:
-  /// `threads == 0` means std::thread::hardware_concurrency() (at least
-  /// one worker either way).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// `threads` is resolved by resolve_threads(): an explicit 0 means
+  /// std::thread::hardware_concurrency(), and there is at least one
+  /// worker either way.
+  explicit ThreadPool(std::size_t threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
   /// Runs every queued task, joins the workers, then rethrows the first

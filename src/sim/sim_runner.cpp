@@ -706,12 +706,9 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
           .attr("virtual_end_us", result.virtual_end_us);
       sim_span.finish();
     }
-    if (obs::Histogram* h = options.obs.histogram(
-            "sim.virtual_time_us", obs::exponential_buckets(64, 4.0, 12))) {
-      h->observe(result.virtual_end_us);
-    }
     if (options.obs.metrics != nullptr) {
       obs::Registry& m = *options.obs.metrics;
+      m.histogram("sim.virtual_time_us").observe(result.virtual_end_us);
       m.counter("sim.runs").add();
       m.counter("sim.steps").add(result.run.steps);
       m.counter("sim.events").add(result.events_processed);

@@ -322,9 +322,8 @@ std::vector<RowTask> enumerate_rows(const CampaignSpec& spec,
 }
 
 /// Executes one row. `obs` is the executing worker's instrumentation
-/// shard (or the campaign-level handle on the serial path); the event
-/// sink is deliberately absent here — campaign_row events are emitted by
-/// the driver in enumeration order.
+/// shard; the event sink is deliberately absent here — campaign_row
+/// events are emitted by the driver in enumeration order.
 /// Executes one kSim row through sim::run (the engine options — flight
 /// recorder, model enforcement, obs shard — are assembled by sim::run
 /// itself from SimOptions).
@@ -620,120 +619,93 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     progress->update(0, tasks.size());
   }
 
-  if (threads <= 1) {
-    // Serial path: rows run on the calling thread against the
-    // campaign-level instrumentation directly (spans nest under
-    // campaign.run, no shards to merge). The telemetry sampler (when
-    // attached) watches process RSS only — there is no pool to probe.
-    std::optional<obs::TelemetrySampler> sampler;
-    if (spec.telemetry_sink != nullptr) {
-      obs::TelemetrySampler::Options topts;
-      topts.interval_ms = spec.telemetry_interval_ms;
-      sampler.emplace(*spec.telemetry_sink, topts);
-      sampler->add_progress(&*progress);
-      sampler->start();
-    }
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      result.rows[i] = run_one_row(spec, tasks[i], spec.obs);
-      if (progress.has_value()) {
-        progress->update(i + 1, tasks.size());
-      }
-      if (spec.obs.sink != nullptr) {
-        emit_row_event(*spec.obs.sink, result.rows[i]);
-      }
-    }
-    if (sampler.has_value()) {
-      sampler->stop();
-    }
-  } else {
-    runtime::ThreadPool pool(threads);
-    const std::size_t workers = std::min(pool.size(), tasks.size());
-    // Per-worker instrumentation shards: each worker owns a registry
-    // and span collector, so the engine hot path never contends on (or
-    // races through) the campaign-level handles. Shards merge below in
-    // worker order; every combiner is commutative, so the merged
-    // aggregates do not depend on which worker ran which row.
-    struct Shard {
-      obs::Registry metrics;
-      obs::SpanCollector spans;
-    };
-    std::vector<Shard> shards(workers);
+  // Every width runs this one sharded sweep. The calling thread is
+  // worker 0, so width 1 starts no pool thread. Each worker owns a
+  // registry and span collector, so the engine hot path never contends
+  // on (or races through) the campaign-level handles. Shards merge
+  // below in worker order; every combiner is commutative, so the merged
+  // aggregates do not depend on which worker ran which row.
+  runtime::ThreadPool pool(threads);
+  const std::size_t workers = std::min(pool.size(), tasks.size());
+  struct Shard {
+    obs::Registry metrics;
+    obs::SpanCollector spans;
+  };
+  std::vector<Shard> shards(workers);
 
-    // The shared sink is serialized (SynchronizedSink) and fed in
-    // enumeration order: whichever worker completes the row that fills
-    // the gap at `next_emit` drains the ready prefix, so a tailing
-    // reader sees exactly the serial event stream.
-    std::optional<obs::SynchronizedSink> sync_sink;
-    if (spec.obs.sink != nullptr) {
-      sync_sink.emplace(*spec.obs.sink);
-    }
-    std::mutex emit_mutex;
-    std::size_t next_emit = 0;
-    std::vector<char> ready(tasks.size(), 0);
-
-    // Telemetry sampler with live pool probes (queue depth, tasks
-    // executed). Declared after `pool` so it is stopped/destroyed first;
-    // probes run on the sampler thread against the pool's thread-safe
-    // accessors.
-    std::optional<obs::TelemetrySampler> sampler;
-    if (spec.telemetry_sink != nullptr) {
-      obs::TelemetrySampler::Options topts;
-      topts.interval_ms = spec.telemetry_interval_ms;
-      sampler.emplace(*spec.telemetry_sink, topts);
-      sampler->add_probe("pool.queue_depth",
-                         [&pool] { return pool.queue_depth(); });
-      sampler->add_probe("pool.tasks_executed", [&pool] {
-        return pool.stats().tasks_executed;
-      });
-      sampler->add_probe("pool.busy_us",
-                         [&pool] { return pool.stats().busy_us; });
-      sampler->add_progress(&*progress);
-      sampler->start();
-    }
-
-    std::atomic<std::size_t> completed{0};
-    runtime::parallel_for_each(
-        pool, tasks.size(), [&](std::size_t worker, std::size_t i) {
-          Shard& shard = shards[worker];
-          obs::Instrumentation shard_obs;
-          if (spec.obs.metrics != nullptr) {
-            shard_obs.metrics = &shard.metrics;
-          }
-          if (spec.obs.spans != nullptr) {
-            shard_obs.spans = &shard.spans;
-          }
-          result.rows[i] = run_one_row(spec, tasks[i], shard_obs);
-          if (progress.has_value()) {
-            progress->update(
-                completed.fetch_add(1, std::memory_order_relaxed) + 1,
-                tasks.size());
-          }
-          if (sync_sink.has_value()) {
-            std::lock_guard<std::mutex> lock(emit_mutex);
-            ready[i] = 1;
-            while (next_emit < tasks.size() && ready[next_emit] != 0) {
-              emit_row_event(*sync_sink, result.rows[next_emit]);
-              ++next_emit;
-            }
-          }
-        });
-
-    for (Shard& shard : shards) {
-      if (spec.obs.metrics != nullptr) {
-        spec.obs.metrics->merge_from(shard.metrics);
-      }
-      if (spec.obs.spans != nullptr) {
-        // Shard roots are rows: nest them under campaign.run, as the
-        // serial branch does.
-        spec.obs.spans->merge_from(shard.spans);
-      }
-    }
-
-    if (sampler.has_value()) {
-      sampler->stop();
-    }
-    publish_pool_stats(spec, pool.stats());
+  // The shared sink is serialized (SynchronizedSink) and fed in
+  // enumeration order: whichever worker completes the row that fills
+  // the gap at `next_emit` drains the ready prefix, so a tailing reader
+  // sees the rows in enumeration order at every width.
+  std::optional<obs::SynchronizedSink> sync_sink;
+  if (spec.obs.sink != nullptr) {
+    sync_sink.emplace(*spec.obs.sink);
   }
+  std::mutex emit_mutex;
+  std::size_t next_emit = 0;
+  std::vector<char> ready(tasks.size(), 0);
+
+  // Telemetry sampler with live pool probes (queue depth, tasks
+  // executed). Declared after `pool` so it is stopped/destroyed first;
+  // probes run on the sampler thread against the pool's thread-safe
+  // accessors.
+  std::optional<obs::TelemetrySampler> sampler;
+  if (spec.telemetry_sink != nullptr) {
+    obs::TelemetrySampler::Options topts;
+    topts.interval_ms = spec.telemetry_interval_ms;
+    sampler.emplace(*spec.telemetry_sink, topts);
+    sampler->add_probe("pool.queue_depth",
+                       [&pool] { return pool.queue_depth(); });
+    sampler->add_probe("pool.tasks_executed", [&pool] {
+      return pool.stats().tasks_executed;
+    });
+    sampler->add_probe("pool.busy_us",
+                       [&pool] { return pool.stats().busy_us; });
+    sampler->add_progress(&*progress);
+    sampler->start();
+  }
+
+  std::atomic<std::size_t> completed{0};
+  runtime::parallel_for_each(
+      pool, tasks.size(), [&](std::size_t worker, std::size_t i) {
+        Shard& shard = shards[worker];
+        obs::Instrumentation shard_obs;
+        if (spec.obs.metrics != nullptr) {
+          shard_obs.metrics = &shard.metrics;
+        }
+        if (spec.obs.spans != nullptr) {
+          shard_obs.spans = &shard.spans;
+        }
+        result.rows[i] = run_one_row(spec, tasks[i], shard_obs);
+        if (progress.has_value()) {
+          progress->update(
+              completed.fetch_add(1, std::memory_order_relaxed) + 1,
+              tasks.size());
+        }
+        if (sync_sink.has_value()) {
+          std::lock_guard<std::mutex> lock(emit_mutex);
+          ready[i] = 1;
+          while (next_emit < tasks.size() && ready[next_emit] != 0) {
+            emit_row_event(*sync_sink, result.rows[next_emit]);
+            ++next_emit;
+          }
+        }
+      });
+
+  for (Shard& shard : shards) {
+    if (spec.obs.metrics != nullptr) {
+      spec.obs.metrics->merge_from(shard.metrics);
+    }
+    if (spec.obs.spans != nullptr) {
+      // Shard roots are rows: nest them under campaign.run.
+      spec.obs.spans->merge_from(shard.spans);
+    }
+  }
+
+  if (sampler.has_value()) {
+    sampler->stop();
+  }
+  publish_pool_stats(spec, pool.stats());
 
   if (spec.obs.sink != nullptr) {
     obs::Event ev("campaign_summary");

@@ -96,12 +96,13 @@ struct CampaignSpec {
   /// every other row field the values are deterministic: byte-identical
   /// CSV/JSON across thread widths.
   bool causality = false;
-  /// Worker threads for the row sweep: 0 = hardware_concurrency(),
-  /// 1 = serial (runs on the calling thread exactly like the historical
-  /// driver). Rows are independent, so any thread count produces
+  /// Worker threads for the row sweep; 0 resolves to
+  /// hardware_concurrency(). Every width runs the same sharded sweep on
+  /// a pool whose worker 0 is the calling thread, so width 1 starts no
+  /// thread. Rows are independent, so any thread count produces
   /// identical rows, CSV/JSON bytes (timing fields aside), campaign_row
   /// event order, and merged metric aggregates — see run_campaign.
-  std::size_t threads = 0;
+  std::size_t threads = 1;
   /// Observability budget forwarded to every row (engine::RunOptions /
   /// sim::SimOptions::budget). Under kSketched the driver additionally
   /// emits one "campaign_sketch" event (steps/messages log-histograms,
@@ -205,7 +206,7 @@ std::uint64_t derive_row_seed(std::string_view instance, int model_index,
 /// enumeration order, campaign_row events are emitted in that order as
 /// the completed prefix grows, and per-worker metric/span shards are
 /// merged into `spec.obs` at the end (counters add, gauges max,
-/// histograms add — all order-independent). Only wall-clock fields
+/// histograms merge — all order-independent). Only wall-clock fields
 /// (wall_ms, *.wall_us) vary between runs.
 CampaignResult run_campaign(const CampaignSpec& spec);
 

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "obs/json.hpp"
 #include "spp/gadgets.hpp"
@@ -23,10 +24,24 @@ TEST(Campaign, RunsTheFullCrossProduct) {
   spec.schedulers = {SchedulerKind::kRoundRobin,
                      SchedulerKind::kRandomFair};
   spec.seeds = 3;
-  const CampaignResult result = run_campaign(spec);
-  // 2 models x (1 round-robin + 3 random seeds) = 8 rows.
-  EXPECT_EQ(result.rows.size(), 8u);
-  EXPECT_DOUBLE_EQ(result.outcome_rate(engine::Outcome::kConverged), 1.0);
+  std::string width1_csv;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    spec.threads = threads;
+    CampaignResult result = run_campaign(spec);
+    // 2 models x (1 round-robin + 3 random seeds) = 8 rows.
+    EXPECT_EQ(result.rows.size(), 8u) << threads;
+    EXPECT_DOUBLE_EQ(result.outcome_rate(engine::Outcome::kConverged), 1.0)
+        << threads;
+    // Same rows, same bytes at every width (wall_ms aside).
+    for (CampaignRow& row : result.rows) {
+      row.wall_ms = 0.0;
+    }
+    if (threads == 1) {
+      width1_csv = result.to_csv();
+    } else {
+      EXPECT_EQ(result.to_csv(), width1_csv) << threads;
+    }
+  }
 }
 
 TEST(Campaign, EventDrivenOnlyForMessagePassingModels) {
@@ -35,6 +50,7 @@ TEST(Campaign, EventDrivenOnlyForMessagePassingModels) {
   spec.instances = {{"GOOD", &good}};
   spec.models = {Model::parse("R1O"), Model::parse("RMS")};
   spec.schedulers = {SchedulerKind::kEventDriven};
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 1u);  // RMS skipped
   EXPECT_EQ(result.rows[0].model, Model::parse("R1O"));
@@ -49,6 +65,7 @@ TEST(Campaign, SynchronousRevealsTheA6Oscillation) {
   spec.schedulers = {SchedulerKind::kRoundRobin,
                      SchedulerKind::kSynchronous};
   spec.max_steps = 2000;
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 2u);
   for (const CampaignRow& row : result.rows) {
@@ -67,6 +84,7 @@ TEST(Campaign, CsvHasHeaderAndOneLinePerRow) {
   spec.models = {Model::parse("UMS")};
   spec.schedulers = {SchedulerKind::kRandomFair};
   spec.seeds = 2;
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   const std::string csv = result.to_csv();
   const std::size_t lines =
@@ -86,6 +104,7 @@ TEST(Campaign, MedianStepsFilters) {
   spec.instances = {{"GOOD", &good}, {"RING8", &ring}};
   spec.models = {Model::parse("RMS")};
   spec.schedulers = {SchedulerKind::kRoundRobin};
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   const auto ring_median = result.median_steps(
       [](const CampaignRow& row) { return row.instance == "RING8"; });
@@ -98,10 +117,12 @@ TEST(Campaign, MedianStepsFilters) {
 
 TEST(Campaign, ValidatesSpec) {
   CampaignSpec empty;
+  empty.threads = 1;
   EXPECT_THROW(run_campaign(empty), PreconditionError);
   const spp::Instance good = spp::good_gadget();
   CampaignSpec no_models;
   no_models.instances = {{"GOOD", &good}};
+  no_models.threads = 1;
   EXPECT_THROW(run_campaign(no_models), PreconditionError);
 }
 
@@ -116,6 +137,7 @@ TEST(Campaign, UnreliableRunsRecordDrops) {
   spec.seeds = 8;
   spec.max_steps = 3000;
   spec.drop_prob = 0.5;
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   std::uint64_t dropped = 0;
   std::size_t occupancy = 0;
@@ -142,6 +164,7 @@ TEST(Campaign, CsvCarriesPerRowWallTime) {
   spec.instances = {{"GOOD", &good}};
   spec.models = {Model::parse("RMS")};
   spec.schedulers = {SchedulerKind::kRoundRobin};
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 1u);
   EXPECT_GE(result.rows[0].wall_ms, 0.0);
@@ -154,6 +177,7 @@ TEST(Campaign, JsonExportParsesAndMatchesRows) {
   spec.instances = {{"GOOD", &good}};
   spec.models = {Model::parse("RMS"), Model::parse("REA")};
   spec.schedulers = {SchedulerKind::kRoundRobin};
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   const auto parsed = obs::json_parse(result.to_json());
   ASSERT_TRUE(parsed.has_value());
@@ -207,6 +231,7 @@ TEST(Campaign, CsvEscapesHostileNamesAndRoundTrips) {
                     {"both,\"of,them\"", &good}};
   spec.models = {Model::parse("RMS")};
   spec.schedulers = {SchedulerKind::kRoundRobin};
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 3u);
 
@@ -229,6 +254,7 @@ TEST(Campaign, CausalityPopulatesCriticalPathColumns) {
   spec.models = {Model::parse("RMS")};
   spec.schedulers = {SchedulerKind::kRoundRobin};
   spec.causality = true;
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 1u);
   EXPECT_GT(result.rows[0].critical_path_len, 0u);
@@ -260,6 +286,7 @@ TEST(Campaign, RecordingPathsAreSanitizedAndCollisionFree) {
   spec.schedulers = {SchedulerKind::kRoundRobin};
   spec.max_steps = 2000;
   spec.recording_dir = dir;
+  spec.threads = 1;
   const CampaignResult result = run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 2u);
 

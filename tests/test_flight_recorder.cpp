@@ -134,6 +134,7 @@ TEST(FlightRecorder, CampaignStampsRecordingPathsOnNonConvergedRows) {
   spec.models = {Model::parse("R1O")};
   spec.schedulers = {study::SchedulerKind::kRoundRobin};
   spec.recording_dir = dir;
+  spec.threads = 2;  // two rows: their recorders may flush concurrently
   const study::CampaignResult result = study::run_campaign(spec);
 
   ASSERT_EQ(result.rows.size(), 2u);

@@ -238,6 +238,7 @@ TEST(Campaign, EmitsRowEventsAndExportsJson) {
   spec.schedulers = {study::SchedulerKind::kRoundRobin,
                      study::SchedulerKind::kSynchronous};
   spec.obs.sink = &sink;
+  spec.threads = 1;
   const auto result = study::run_campaign(spec);
 
   std::size_t row_events = 0, summaries = 0;

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "support/error.hpp"
 
 namespace commroute::obs {
 namespace {
@@ -17,38 +17,12 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Gauge, SetOverwritesRecordMaxKeepsHighWater) {
+TEST(Gauge, RecordMaxKeepsHighWater) {
   Gauge g;
-  g.set(10);
-  g.set(3);
-  EXPECT_EQ(g.value(), 3u);
+  EXPECT_EQ(g.value(), 0u);
   g.record_max(7);
   g.record_max(5);
   EXPECT_EQ(g.value(), 7u);
-}
-
-TEST(Histogram, BucketSemanticsAreLeInclusive) {
-  Histogram h({10, 100});
-  h.observe(5);
-  h.observe(10);   // boundary lands in the le=10 bucket
-  h.observe(11);
-  h.observe(1000);  // overflow bucket
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.sum(), 1026u);
-  ASSERT_EQ(h.bucket_counts().size(), 3u);
-  EXPECT_EQ(h.bucket_counts()[0], 2u);
-  EXPECT_EQ(h.bucket_counts()[1], 1u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
-}
-
-TEST(Histogram, RejectsUnsortedBounds) {
-  EXPECT_THROW(Histogram({10, 10}), PreconditionError);
-  EXPECT_THROW(Histogram({10, 5}), PreconditionError);
-}
-
-TEST(Histogram, ExponentialBucketsGrowByFactor) {
-  const auto bounds = exponential_buckets(16, 4.0, 4);
-  EXPECT_EQ(bounds, (std::vector<std::uint64_t>{16, 64, 256, 1024}));
 }
 
 TEST(Registry, ReturnsTheSameMetricPerName) {
@@ -59,17 +33,17 @@ TEST(Registry, ReturnsTheSameMetricPerName) {
   Gauge& g = r.gauge("g");
   r.gauge("g").record_max(9);
   EXPECT_EQ(g.value(), 9u);
-  Histogram& h = r.histogram("h", {1, 2});
-  r.histogram("h", {99}).observe(1);  // bounds of later calls ignored
+  LogHistogram& h = r.histogram("h");
+  r.histogram("h").observe(1);
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.upper_bounds(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(h.precision_bits(), LogHistogram().precision_bits());
 }
 
 TEST(Registry, SnapshotListsEveryMetric) {
   Registry r;
   r.counter("steps").add(5);
-  r.gauge("frontier").set(3);
-  r.histogram("lat", {10}).observe(4);
+  r.gauge("frontier").record_max(3);
+  r.histogram("lat").observe(4);
   const auto samples = r.snapshot();
   ASSERT_EQ(samples.size(), 3u);
   bool saw_counter = false, saw_gauge = false, saw_histogram = false;
@@ -86,7 +60,6 @@ TEST(Registry, SnapshotListsEveryMetric) {
       EXPECT_EQ(s.kind, MetricSample::Kind::kHistogram);
       EXPECT_EQ(s.value, 1u);  // count
       EXPECT_EQ(s.sum, 4u);
-      EXPECT_EQ(s.counts.size(), 2u);
       saw_histogram = true;
     }
   }
@@ -97,7 +70,7 @@ TEST(Registry, ToJsonRoundTripsThroughTheParser) {
   Registry r;
   r.counter("engine.steps").add(123);
   r.gauge("checker.frontier_peak").record_max(17);
-  r.histogram("engine.run_steps", {16, 64}).observe(20);
+  r.histogram("engine.run_steps").observe(20);
   const auto parsed = json_parse(r.to_json());
   ASSERT_TRUE(parsed.has_value());
   const JsonValue* counters = parsed->find("counters");
@@ -112,10 +85,12 @@ TEST(Registry, ToJsonRoundTripsThroughTheParser) {
   ASSERT_NE(histograms, nullptr);
   const JsonValue* hist = histograms->find("engine.run_steps");
   ASSERT_NE(hist, nullptr);
-  const JsonValue* buckets = hist->find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  ASSERT_TRUE(buckets->is_array());
-  EXPECT_EQ(buckets->as_array().size(), 3u);  // two bounds + overflow
+  // Each histogram is embedded as its LogHistogram::to_json object.
+  EXPECT_DOUBLE_EQ(hist->find("count")->as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(hist->find("sum")->as_number(), 20.0);
+  EXPECT_DOUBLE_EQ(hist->find("p50")->as_number(), 20.0);
+  EXPECT_NE(r.to_json().find(r.histogram("engine.run_steps").to_json()),
+            std::string::npos);
 }
 
 TEST(ScopedTimer, RecordsElapsedIntoCounterOnDestruction) {
@@ -145,125 +120,103 @@ TEST(ScopedTimer, NullTargetIsDisabled) {
   EXPECT_EQ(t.elapsed_us(), 0u);
 }
 
-TEST(RegistryMerge, CountersAddGaugesMaxHistogramsAddBucketwise) {
+TEST(RegistryMerge, CountersAddGaugesMaxHistogramsMerge) {
   Registry target;
   target.counter("c").add(10);
   target.gauge("g").record_max(5);
-  target.histogram("h", {10, 100}).observe(7);
+  target.histogram("h").observe(7);
 
   Registry shard;
   shard.counter("c").add(3);
   shard.counter("only_in_shard").add(1);
   shard.gauge("g").record_max(9);
   shard.gauge("low").record_max(2);
-  shard.histogram("h", {10, 100}).observe(50);
-  shard.histogram("h", {10, 100}).observe(5000);
-  shard.histogram("new_h", {1}).observe(0);
+  shard.histogram("h").observe(50);
+  shard.histogram("h").observe(5000);
+  shard.histogram("new_h").observe(0);
 
   target.merge_from(shard);
   EXPECT_EQ(target.counter("c").value(), 13u);
   EXPECT_EQ(target.counter("only_in_shard").value(), 1u);
   EXPECT_EQ(target.gauge("g").value(), 9u);
   EXPECT_EQ(target.gauge("low").value(), 2u);
-  const Histogram& h = target.histogram("h", {});
+  const LogHistogram& h = target.histogram("h");
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.sum(), 7u + 50u + 5000u);
-  EXPECT_EQ(h.bucket_counts(), (std::vector<std::uint64_t>{1, 1, 1}));
-  EXPECT_EQ(target.histogram("new_h", {}).count(), 1u);
+  EXPECT_EQ(h.min(), 7u);
+  EXPECT_EQ(h.max(), 5000u);
+  EXPECT_EQ(target.histogram("new_h").count(), 1u);
 }
 
-TEST(RegistryMerge, IsOrderIndependent) {
-  // Merge combiners commute, so shard order cannot change the result —
-  // the property the parallel campaign's determinism guarantee rests on.
-  Registry a, b;
+/// Two registry shards over disjoint parts of one observation stream.
+void fill_shards(Registry& a, Registry& b) {
   a.counter("x").add(2);
   a.gauge("g").record_max(4);
   b.counter("x").add(5);
   b.gauge("g").record_max(3);
+  for (std::uint64_t v : {0u, 1u, 31u, 32u, 33u, 1000u, 70000u}) {
+    a.histogram("h").observe(v);
+  }
+  for (std::uint64_t v : {2u, 32u, 64u, 999u, 1u << 20}) {
+    b.histogram("h").observe(v);
+  }
+  b.histogram("only_b").observe(9);
+}
+
+TEST(RegistryMerge, MergingAIntoBEqualsMergingBIntoA) {
+  Registry a1, b1, a2, b2;
+  fill_shards(a1, b1);
+  fill_shards(a2, b2);
+  a1.merge_from(b1);  // A <- B
+  b2.merge_from(a2);  // B <- A
+  EXPECT_EQ(a1.to_json(), b2.to_json());
+  EXPECT_EQ(a1.histogram("h").count(), 12u);
+}
+
+TEST(RegistryMerge, ShardOrderDoesNotChangeTheBytes) {
+  // Merge combiners commute, so shard order cannot change the result —
+  // the property the parallel campaign's determinism guarantee rests on.
+  Registry a, b;
+  fill_shards(a, b);
 
   Registry ab, ba;
   ab.merge_from(a);
   ab.merge_from(b);
   ba.merge_from(b);
   ba.merge_from(a);
-  EXPECT_EQ(ab.counter("x").value(), ba.counter("x").value());
-  EXPECT_EQ(ab.gauge("g").value(), ba.gauge("g").value());
+  EXPECT_EQ(ab.to_json(), ba.to_json());
+  EXPECT_EQ(ab.counter("x").value(), 7u);
+  EXPECT_EQ(ab.gauge("g").value(), 4u);
+
+  // One registry fed the whole stream serializes the same as the shards.
+  Registry whole;
+  fill_shards(whole, whole);
+  EXPECT_EQ(ab.histogram("h").to_json(), whole.histogram("h").to_json());
 }
 
-TEST(RegistryMerge, SingleBucketHistogramMerges) {
-  // The degenerate single-bound shape (one bucket + overflow) must
-  // merge like any other: same-bounds requirement, bucket-wise adds.
-  Registry target, shard;
-  target.histogram("h", {10}).observe(3);    // in-bucket
-  shard.histogram("h", {10}).observe(10);    // boundary is <=-inclusive
-  shard.histogram("h", {10}).observe(11);    // overflow
-  target.merge_from(shard);
-  const Histogram& h = target.histogram("h", {});
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 24u);
-  EXPECT_EQ(h.bucket_counts(), (std::vector<std::uint64_t>{2, 1}));
-
-  // Merging an empty shard (histogram declared, never observed) is a
-  // no-op, not a corruption.
+TEST(RegistryMerge, EmptyHistogramShardIsANoOp) {
+  // Merging a shard whose histogram was declared but never observed
+  // leaves the target's bytes unchanged.
+  Registry target;
+  target.histogram("h").observe(3);
+  target.histogram("h").observe(11);
+  const std::string before = target.to_json();
   Registry empty;
-  empty.histogram("h", {10});
+  empty.histogram("h");
   target.merge_from(empty);
-  EXPECT_EQ(target.histogram("h", {}).count(), 3u);
+  EXPECT_EQ(target.to_json(), before);
 }
 
-TEST(RegistryMerge, MismatchedHistogramBoundsThrow) {
-  Registry target, shard;
-  target.histogram("h", {1, 2}).observe(1);
-  shard.histogram("h", {1, 3}).observe(1);
-  EXPECT_THROW(target.merge_from(shard), PreconditionError);
-}
-
-TEST(RegistryMerge, GaugePoliciesMergeMaxSumAndLast) {
-  // Shard-and-merge with per-gauge semantics: high-watermarks take the
-  // max, occurrence counts add, kLast takes the incoming value.
-  Registry target, shard_a, shard_b;
-  target.gauge("peak").set(10);                         // kMax default
-  target.gauge("occurrences", GaugeMerge::kSum).set(2);
-  target.gauge("config", GaugeMerge::kLast).set(1);
-  shard_a.gauge("peak").set(30);
-  shard_a.gauge("occurrences", GaugeMerge::kSum).set(5);
-  shard_a.gauge("config", GaugeMerge::kLast).set(7);
-  shard_b.gauge("peak").set(20);
-  shard_b.gauge("occurrences", GaugeMerge::kSum).set(3);
-  target.merge_from(shard_a);
-  target.merge_from(shard_b);
-  EXPECT_EQ(target.gauge("peak").value(), 30u);
-  EXPECT_EQ(target.gauge("occurrences", GaugeMerge::kSum).value(), 10u);
-  EXPECT_EQ(target.gauge("config", GaugeMerge::kLast).value(), 7u);
-}
-
-TEST(RegistryMerge, SumPolicyGaugesSurviveParallelSharding) {
-  // The regression this policy exists for: N workers each flagging
-  // engine.cycle_detection_disabled once must merge to N, not silently
-  // max-merge to 1 and hide how many rows ran blind.
+TEST(RegistryMerge, CounterOccurrencesSurviveParallelSharding) {
+  // N workers each flagging engine.cycle_detection_disabled once must
+  // merge to N, not 1, so a campaign shows how many rows ran blind.
   Registry target;
   for (int worker = 0; worker < 8; ++worker) {
     Registry shard;
-    shard.gauge("engine.cycle_detection_disabled", GaugeMerge::kSum)
-        .add(1);
+    shard.counter("engine.cycle_detection_disabled").add();
     target.merge_from(shard);
   }
-  EXPECT_EQ(
-      target.gauge("engine.cycle_detection_disabled", GaugeMerge::kSum)
-          .value(),
-      8u);
-}
-
-TEST(RegistryMerge, GaugePolicyIsFixedAtCreation) {
-  Registry registry;
-  registry.gauge("g", GaugeMerge::kSum).set(1);
-  // A later lookup with a different policy does not silently rewrite
-  // the merge semantics.
-  EXPECT_EQ(registry.gauge("g").merge_policy(), GaugeMerge::kSum);
-  Registry shard;
-  shard.gauge("g", GaugeMerge::kSum).set(4);
-  registry.merge_from(shard);
-  EXPECT_EQ(registry.gauge("g").value(), 5u);
+  EXPECT_EQ(target.counter("engine.cycle_detection_disabled").value(), 8u);
 }
 
 TEST(JsonNumber, FormatsRoundTrippably) {

@@ -177,7 +177,7 @@ TEST(Runner, SignaturelessSchedulerPublishesDisabledGaugeAndEvent) {
 
   RandomFairScheduler random(m, inst, Rng(2), {.sweep_period = 8});
   run(inst, random, options);
-  EXPECT_EQ(metrics.gauge("engine.cycle_detection_disabled").value(), 1u);
+  EXPECT_EQ(metrics.counter("engine.cycle_detection_disabled").value(), 1u);
   bool saw_event = false;
   for (const std::string& line : sink.lines()) {
     if (line.find("\"type\":\"cycle_detection_disabled\"") !=

@@ -14,8 +14,9 @@ namespace {
 
 using model::Model;
 
-study::CampaignSpec sim_spec(const spp::Instance& bad) {
+study::CampaignSpec sim_spec(const spp::Instance& bad, std::size_t threads) {
   study::CampaignSpec spec;
+  spec.threads = threads;
   spec.instances.push_back({"BAD-GADGET", &bad});
   spec.models = {Model::parse("R1O"), Model::parse("U1O")};
   spec.schedulers = {study::SchedulerKind::kSim};
@@ -32,7 +33,7 @@ study::CampaignSpec sim_spec(const spp::Instance& bad) {
 
 TEST(SimCampaign, SweepsPointsAndSkipsLossyReliableCombos) {
   const spp::Instance bad = spp::bad_gadget();
-  const study::CampaignSpec spec = sim_spec(bad);
+  const study::CampaignSpec spec = sim_spec(bad, 1);
   const study::CampaignResult result = study::run_campaign(spec);
   // R1O runs only the lossless point (2 seeds); U1O runs both points:
   // 2 models x points x 2 seeds - skipped = 2 + 4.
@@ -55,23 +56,22 @@ TEST(SimCampaign, SweepsPointsAndSkipsLossyReliableCombos) {
 
 TEST(SimCampaign, RowsAreDeterministicAcrossThreadCounts) {
   const spp::Instance bad = spp::bad_gadget();
-  study::CampaignSpec serial = sim_spec(bad);
-  serial.threads = 1;
-  study::CampaignSpec parallel = sim_spec(bad);
-  parallel.threads = 4;
-  const study::CampaignResult a = study::run_campaign(serial);
-  const study::CampaignResult b = study::run_campaign(parallel);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].instance, b.rows[i].instance);
-    EXPECT_EQ(a.rows[i].model.name(), b.rows[i].model.name());
-    EXPECT_EQ(a.rows[i].seed, b.rows[i].seed);
-    EXPECT_EQ(a.rows[i].outcome, b.rows[i].outcome);
-    EXPECT_EQ(a.rows[i].steps, b.rows[i].steps);
-    EXPECT_EQ(a.rows[i].virtual_us, b.rows[i].virtual_us);
-    EXPECT_EQ(a.rows[i].last_change_us, b.rows[i].last_change_us);
-    EXPECT_EQ(a.rows[i].sim_latency_us, b.rows[i].sim_latency_us);
-    EXPECT_EQ(a.rows[i].sim_loss, b.rows[i].sim_loss);
+  const study::CampaignResult a = study::run_campaign(sim_spec(bad, 1));
+  for (const std::size_t threads : {2u, 8u}) {
+    const study::CampaignResult b =
+        study::run_campaign(sim_spec(bad, threads));
+    ASSERT_EQ(a.rows.size(), b.rows.size()) << threads;
+    for (std::size_t i = 0; i < a.rows.size(); ++i) {
+      EXPECT_EQ(a.rows[i].instance, b.rows[i].instance);
+      EXPECT_EQ(a.rows[i].model.name(), b.rows[i].model.name());
+      EXPECT_EQ(a.rows[i].seed, b.rows[i].seed);
+      EXPECT_EQ(a.rows[i].outcome, b.rows[i].outcome);
+      EXPECT_EQ(a.rows[i].steps, b.rows[i].steps);
+      EXPECT_EQ(a.rows[i].virtual_us, b.rows[i].virtual_us);
+      EXPECT_EQ(a.rows[i].last_change_us, b.rows[i].last_change_us);
+      EXPECT_EQ(a.rows[i].sim_latency_us, b.rows[i].sim_latency_us);
+      EXPECT_EQ(a.rows[i].sim_loss, b.rows[i].sim_loss);
+    }
   }
 }
 
@@ -85,6 +85,7 @@ TEST(SimCampaign, DistinctPointsGetDecorrelatedSeeds) {
   spec.schedulers = {study::SchedulerKind::kSim};
   spec.seeds = 1;
   spec.max_steps = 400;
+  spec.threads = 1;
   sim::LinkModel a;
   a.latency_us = 1000;
   a.jitter_us = 900;
@@ -101,7 +102,7 @@ TEST(SimCampaign, DistinctPointsGetDecorrelatedSeeds) {
 
 TEST(SimCampaign, CausalityReportsVirtualCriticalPaths) {
   const spp::Instance bad = spp::bad_gadget();
-  study::CampaignSpec spec = sim_spec(bad);
+  study::CampaignSpec spec = sim_spec(bad, 1);
   spec.causality = true;
   const study::CampaignResult result = study::run_campaign(spec);
   for (const study::CampaignRow& row : result.rows) {
@@ -115,21 +116,24 @@ TEST(SimCampaign, CausalityReportsVirtualCriticalPaths) {
 
   // Byte-identical CSV regardless of worker threads (minus wall_ms,
   // which CI strips by position; here compare the causal columns).
-  study::CampaignSpec wide = spec;
-  wide.threads = 4;
-  const study::CampaignResult parallel = study::run_campaign(wide);
-  ASSERT_EQ(parallel.rows.size(), result.rows.size());
-  for (std::size_t i = 0; i < result.rows.size(); ++i) {
-    EXPECT_EQ(parallel.rows[i].critical_path_len,
-              result.rows[i].critical_path_len);
-    EXPECT_EQ(parallel.rows[i].critical_path_us,
-              result.rows[i].critical_path_us);
+  for (const std::size_t threads : {2u, 8u}) {
+    study::CampaignSpec wide = spec;
+    wide.threads = threads;
+    const study::CampaignResult parallel = study::run_campaign(wide);
+    ASSERT_EQ(parallel.rows.size(), result.rows.size()) << threads;
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+      EXPECT_EQ(parallel.rows[i].critical_path_len,
+                result.rows[i].critical_path_len);
+      EXPECT_EQ(parallel.rows[i].critical_path_us,
+                result.rows[i].critical_path_us);
+    }
   }
 }
 
 TEST(SimCampaign, CsvAndJsonCarryVirtualColumns) {
   const spp::Instance bad = spp::bad_gadget();
-  const study::CampaignResult result = study::run_campaign(sim_spec(bad));
+  const study::CampaignResult result =
+      study::run_campaign(sim_spec(bad, 1));
   const std::string csv = result.to_csv();
   EXPECT_NE(csv.find("sim_latency_us,sim_loss,virtual_us,last_change_us"),
             std::string::npos);
@@ -156,6 +160,7 @@ TEST(SimCampaign, MixesWithClassicSchedulers) {
                      study::SchedulerKind::kSim};
   spec.seeds = 1;
   spec.max_steps = 5000;
+  spec.threads = 1;
   const study::CampaignResult result = study::run_campaign(spec);
   ASSERT_EQ(result.rows.size(), 2u);
   EXPECT_EQ(result.rows[0].scheduler, study::SchedulerKind::kRoundRobin);
