@@ -223,6 +223,34 @@ TEST(ParallelChecker, AllSearchersAgreeOnExhaustiveVerdicts) {
   }
 }
 
+// E-SEARCH's small-cap power: order-sensitive searchers pick from the
+// successors just merged, so a wave holds one state per worker. At
+// width 1 that is the one-at-a-time order, in which DFS closes
+// BAD-GADGET's cycle inside a 250-state prefix and flap-priority inside
+// 500, where BFS needs about 64,000. Waves of 32 states per worker lose
+// this (DFS then first finds it at 4,000).
+TEST(ParallelChecker, OrderSensitiveSearchersFindTheOscillationUnderATightCap) {
+  const spp::Instance inst = spp::bad_gadget();
+  const Model m = Model::parse("R1O");
+  const auto capped = [&](SearcherKind kind, std::size_t cap,
+                          std::size_t threads) {
+    ExploreOptions options;
+    options.max_channel_length = 3;
+    options.max_states = cap;
+    options.threads = threads;
+    options.searcher = kind;
+    options.searcher_seed = 42;
+    return explore(inst, m, options);
+  };
+  EXPECT_TRUE(capped(SearcherKind::kDFS, 250, 1).oscillation_found);
+  EXPECT_TRUE(capped(SearcherKind::kPriorityFlap, 500, 1).oscillation_found);
+  EXPECT_FALSE(capped(SearcherKind::kBFS, 250, 1).oscillation_found);
+  for (const std::size_t threads : {2u, 4u}) {
+    EXPECT_TRUE(capped(SearcherKind::kDFS, 1000, threads).oscillation_found)
+        << threads;
+  }
+}
+
 TEST(ParallelChecker, RandomSearcherIsDeterministicPerSeed) {
   const spp::Instance inst = spp::disagree();
   const Model m = Model::parse("RMS");
