@@ -168,12 +168,20 @@ std::vector<std::vector<StateId>> tarjan_sccs(const ConfigGraph& graph) {
 /// until stable (pruning can split SCCs); then test every SCC for an
 /// assignment-changing edge and read attempts covering `all_channels`.
 /// Returns the members of the largest passing SCC (the first in SCC
-/// order among equals), empty when none passes. Leaves the pruned flags
-/// set, as the witness tour needs them; adds its passes to `passes`.
+/// order among equals), empty when none passes. Starts from an
+/// unpruned graph, so a pass on a prefix never leaks its prunes into a
+/// later pass on a larger graph (where a pruned drop-edge may sit in an
+/// SCC that delivers on its channel). Leaves the pruned flags set, as
+/// the witness tour needs them; adds its passes to `passes`.
 std::vector<StateId> find_witness_scc(ConfigGraph& graph,
                                       std::uint64_t all_channels,
                                       const obs::Instrumentation& obs,
                                       std::size_t& passes) {
+  for (std::vector<EdgeLabel>& row : graph.edges) {
+    for (EdgeLabel& e : row) {
+      e.pruned = false;
+    }
+  }
   for (;;) {
     ++passes;
     obs::Span pass_span = obs.span("checker.scc_prune_pass");
@@ -281,7 +289,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   ExploreResult result;
   ConfigGraph graph;
   ShardedStateSet seen(std::min<std::size_t>(64, threads * 8));
-  const bool sketched = options.budget == obs::ObsBudget::kSketched;
 
   // Tracked-bytes accounting over the explorer's own structures (interned
   // states, edges, frontier, hash index, witness store). Always on — it
@@ -569,9 +576,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
               quiescent.end()) {
         quiescent.push_back(std::move(out.assignment));
       }
-      if (sketched && !out.quiescent) {
-        result.successor_hist.observe(out.raw_successors);
-      }
       if (out.bound_skipped > 0) {
         result.channel_bound_hit = true;
         result.channel_length_limit = options.max_channel_length;
@@ -648,11 +652,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           unmerged = batch.size() - 1 - i;
           stopped = true;
           break;
-        }
-        for (std::vector<EdgeLabel>& row : graph.edges) {
-          for (EdgeLabel& e : row) {
-            e.pruned = false;
-          }
         }
       }
     }
@@ -804,14 +803,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
                      result.quiescent_assignments.size()))
           .field("wall_us", wall_us);
       if (options.stop_at_first_proof) {
-        // Gated like obs_budget below: full-mode lines keep their bytes.
+        // Only when armed: other checker_summary lines keep their bytes.
         ev.field("stopped_at_proof", result.stopped_at_proof);
-      }
-      if (sketched) {
-        // Gated so full-mode checker_summary lines keep their exact
-        // pre-budget bytes.
-        ev.field("obs_budget", obs::to_string(options.budget))
-            .raw_field("successor_hist", result.successor_hist.to_json());
       }
       options.obs.sink->emit(ev);
     }

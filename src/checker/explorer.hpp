@@ -35,7 +35,6 @@
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "obs/resource.hpp"
-#include "obs/sketch.hpp"
 #include "trace/trace.hpp"
 
 namespace commroute::checker {
@@ -80,12 +79,6 @@ struct ExploreOptions {
   /// quiet exactly when expansions get slow — the time-based interval
   /// keeps long stalls visible. Every heartbeat carries `elapsed_ms`.
   std::uint64_t heartbeat_interval_ms = 0;
-  /// ObsBudget::kSketched additionally fills
-  /// ExploreResult::successor_hist (bounded log-histogram of
-  /// per-expansion successor counts). The explorer's core structures are
-  /// already bounded by max_states / memory_limit_bytes, so unlike the
-  /// engine the budget adds summaries rather than suppressing anything.
-  obs::ObsBudget budget = obs::ObsBudget::kFull;
   /// Online progress: when attached, explore() reports done=expanded /
   /// total=expanded+frontier (the coverage lower bound; total grows as
   /// states are discovered) plus the live frontier size as detail,
@@ -202,11 +195,6 @@ struct ExploreResult {
   /// store). Always populated — the accounting is a handful of integer
   /// adds per expansion, cheap enough to keep on unconditionally.
   std::uint64_t tracked_peak_bytes = 0;
-
-  /// Populated under ObsBudget::kSketched: log-bucketed distribution of
-  /// per-expansion successor counts (the branching factor — the number
-  /// that predicts how exploration cost scales with the channel bound).
-  obs::LogHistogram successor_hist;
 
   /// Peak tracked bytes per explored state — the scaling number the
   /// bench_perf_scale roadmap item wants (0 when nothing was explored).

@@ -155,21 +155,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   NetworkState state(instance);
   model::FairnessMonitor fairness(instance.graph().channel_count());
 
-  // Budget plumbing: kSketched suppresses the structures whose memory
-  // grows with nodes x steps (trace, node_activations) and fills the
-  // bounded RunResult sketches instead. Byte accounting is deterministic
-  // (element counts only) and monotone, so obs_bytes doubles as a peak.
-  const bool sketched = options.budget == obs::ObsBudget::kSketched;
-  const bool record_trace = options.record_trace && !sketched;
-  const bool account_obs = options.obs_memory != nullptr;
-  auto assignment_bytes = [&state]() {
-    std::uint64_t b = 0;
-    for (const Path& p : state.assignments()) {
-      b += sizeof(Path) + p.size() * sizeof(NodeId);
-    }
-    return b;
-  };
-
   const bool recording =
       options.flight.mode != FlightRecorderOptions::Mode::kOff;
   std::optional<FlightRecorder> recorder;
@@ -189,34 +174,9 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   }
 
   RunResult result;
-  auto account = [&](std::uint64_t bytes) {
-    result.obs_bytes += bytes;
-    if (options.obs_memory != nullptr) {
-      options.obs_memory->add(bytes);
-    }
-  };
-  // Sketch growth is accounted by delta so the TrackedBytes gauge stays
-  // live for a sampler without rescanning the sketches every step.
-  std::uint64_t sketch_bytes_seen = 0;
-  auto refresh_sketch_bytes = [&]() {
-    const std::uint64_t now = result.flap_topk.estimated_bytes() +
-                              result.activation_topk.estimated_bytes();
-    if (now > sketch_bytes_seen) {
-      account(now - sketch_bytes_seen);
-      sketch_bytes_seen = now;
-    }
-  };
-  if (!sketched) {
-    result.node_activations.assign(instance.node_count(), 0);
-    if (account_obs) {
-      account(instance.node_count() * sizeof(std::uint64_t));
-    }
-  }
-  if (record_trace) {
+  result.node_activations.assign(instance.node_count(), 0);
+  if (options.record_trace) {
     result.trace = trace::Trace(state.assignments());
-    if (account_obs) {
-      account(assignment_bytes());
-    }
   }
 
   // For sound cycle detection: configuration = (state, signature).
@@ -337,17 +297,10 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     result.messages_sent += effect.sent.size();
     bool any_changed = false;
     for (const NodeEffect& node : effect.nodes) {
-      if (sketched) {
-        result.activation_topk.add(node.node);
-      } else {
-        ++result.node_activations[node.node];
-      }
+      ++result.node_activations[node.node];
       if (node.changed) {
         ++total_changes;
         any_changed = true;
-        if (sketched) {
-          result.flap_topk.add(node.node);
-        }
       }
     }
     if (any_changed) {
@@ -369,20 +322,12 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
       options.obs.sink->emit(ev);
     }
 
-    if (record_trace) {
+    if (options.record_trace) {
       result.trace.record(state.assignments());
-      if (account_obs) {
-        account(assignment_bytes());
-      }
     }
-    if ((result.steps & 63u) == 0) {
-      if (options.progress != nullptr) {
-        options.progress->update(result.steps, options.max_steps);
-        options.progress->set_detail(result.steps - last_change_step);
-      }
-      if (sketched) {
-        refresh_sketch_bytes();
-      }
+    if ((result.steps & 63u) == 0 && options.progress != nullptr) {
+      options.progress->update(result.steps, options.max_steps);
+      options.progress->set_detail(result.steps - last_change_step);
     }
     if (recording || causal.has_value()) {
       const std::optional<std::uint64_t> t_us = scheduler.virtual_time_us();
@@ -411,9 +356,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   result.max_attempt_gap = fairness.max_attempt_gap();
   result.outstanding_drops = fairness.outstanding_drops();
 
-  if (sketched) {
-    refresh_sketch_bytes();
-  }
   if (options.progress != nullptr) {
     options.progress->update(result.steps, options.max_steps);
     options.progress->set_detail(result.steps - last_change_step);
@@ -477,9 +419,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
         m.gauge("engine.critical_path_len")
             .record_max(result.critical_path_len);
       }
-      if (account_obs || sketched) {
-        m.gauge("engine.obs_bytes").record_max(result.obs_bytes);
-      }
     }
     if (options.obs.sink != nullptr) {
       obs::Event ev("engine_run");
@@ -499,15 +438,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
         // Only when armed: existing consumers' engine_run bytes are
         // unchanged and the field never reads as "0 = no chain".
         ev.field("critical_path_len", result.critical_path_len);
-      }
-      if (sketched) {
-        // Same gating rule: only sketched runs carry the sketch fields,
-        // so full-mode engine_run lines are byte-for-byte what they
-        // were before the budget knob existed.
-        ev.field("obs_budget", obs::to_string(options.budget))
-            .field("obs_bytes", result.obs_bytes)
-            .raw_field("flap_topk", result.flap_topk.to_json())
-            .raw_field("activation_topk", result.activation_topk.to_json());
       }
       options.obs.sink->emit(ev);
     }

@@ -30,46 +30,6 @@ std::string str_field(const JsonValue& obj, std::string_view key) {
   return (v != nullptr && v->is_string()) ? v->as_string() : std::string();
 }
 
-/// An embedded LogHistogram::to_json blob (see sketch.hpp)?
-bool is_hist_blob(const JsonValue& v) {
-  return v.is_object() && v.find("precision_bits") != nullptr &&
-         v.find("buckets") != nullptr;
-}
-
-/// An embedded TopK::to_json blob?
-bool is_topk_blob(const JsonValue& v) {
-  return v.is_object() && v.find("capacity") != nullptr &&
-         v.find("entries") != nullptr;
-}
-
-void absorb_hist_blob(ReportQuantiles& row, const JsonValue& blob) {
-  ++row.occurrences;
-  row.count = num_field(blob, "count").value_or(0);
-  row.sum = num_field(blob, "sum").value_or(0);
-  row.min = num_field(blob, "min").value_or(0);
-  row.max = num_field(blob, "max").value_or(0);
-  row.p50 = num_field(blob, "p50").value_or(0);
-  row.p90 = num_field(blob, "p90").value_or(0);
-  row.p99 = num_field(blob, "p99").value_or(0);
-}
-
-void absorb_topk_blob(TopK& sketch, const JsonValue& blob) {
-  const JsonValue* entries = blob.find("entries");
-  if (entries == nullptr || !entries->is_array()) {
-    return;
-  }
-  for (const JsonValue& entry : entries->as_array()) {
-    if (!entry.is_object()) {
-      continue;
-    }
-    const auto key = num_field(entry, "key");
-    const auto count = num_field(entry, "count");
-    if (key.has_value() && count.has_value() && *count > 0) {
-      sketch.add(*key, *count);
-    }
-  }
-}
-
 }  // namespace
 
 void ReportSeries::add(std::uint64_t x, std::uint64_t y) {
@@ -102,8 +62,6 @@ RunReport build_report(std::istream& in, std::string source) {
   std::map<std::string, ReportSeries> telemetry;
   std::map<std::string, ReportSeries> progress_series;
   std::map<std::string, ReportProgress> progress;
-  std::map<std::string, ReportQuantiles> quantiles;
-  std::map<std::string, TopK> topk;
   std::vector<std::string> prev_pi;  ///< last recording assignment
 
   std::string line;
@@ -189,21 +147,7 @@ RunReport build_report(std::istream& in, std::string source) {
       report.recording_changes = num_field(ev, "changes").value_or(0);
     }
 
-    // Any event may carry embedded sketch blobs (engine_run's flap_topk,
-    // sim_summary's latency_hist, campaign_sketch, ...) or a critical
-    // path. Detected structurally, so new producers need no report edit.
-    for (const auto& [key, value] : ev.as_object()) {
-      if (is_hist_blob(value)) {
-        ReportQuantiles& row = quantiles[type + "." + key];
-        row.label = type + "." + key;
-        absorb_hist_blob(row, value);
-      } else if (is_topk_blob(value)) {
-        absorb_topk_blob(
-            topk.try_emplace(type + "." + key, std::size_t{16})
-                .first->second,
-            value);
-      }
-    }
+    // Any event may carry a critical path.
     const auto cp_len = num_field(ev, "critical_path_len");
     const auto cp_us = num_field(ev, "critical_path_us");
     if (cp_len.has_value() || cp_us.has_value()) {
@@ -224,12 +168,6 @@ RunReport build_report(std::istream& in, std::string source) {
   }
   for (auto& [name, p] : progress) {
     report.progress.push_back(std::move(p));
-  }
-  for (auto& [label, row] : quantiles) {
-    report.quantiles.push_back(std::move(row));
-  }
-  for (auto& [label, sketch] : topk) {
-    report.topk.emplace_back(label, std::move(sketch));
   }
   return report;
 }
@@ -313,38 +251,6 @@ std::string report_json(const RunReport& report) {
   }
   progress += ']';
   w.raw_field("progress", progress);
-
-  std::string quantiles = "[";
-  for (std::size_t i = 0; i < report.quantiles.size(); ++i) {
-    const ReportQuantiles& q = report.quantiles[i];
-    if (i > 0) {
-      quantiles += ',';
-    }
-    JsonWriter row;
-    row.field("label", q.label)
-        .field("occurrences", q.occurrences)
-        .field("count", q.count)
-        .field("sum", q.sum)
-        .field("min", q.min)
-        .field("max", q.max)
-        .field("p50", q.p50)
-        .field("p90", q.p90)
-        .field("p99", q.p99);
-    quantiles += row.str();
-  }
-  quantiles += ']';
-  w.raw_field("quantiles", quantiles);
-
-  std::string tops = "[";
-  for (std::size_t i = 0; i < report.topk.size(); ++i) {
-    if (i > 0) {
-      tops += ',';
-    }
-    tops += "{\"label\":\"" + json_escape(report.topk[i].first) +
-            "\",\"sketch\":" + report.topk[i].second.to_json() + '}';
-  }
-  tops += ']';
-  w.raw_field("topk", tops);
 
   if (report.campaign_rows > 0) {
     JsonWriter campaign;
@@ -549,30 +455,6 @@ std::string report_html(const RunReport& report, const std::string& title) {
               td(s.samples) + td(s.peak) + td(s.last) + "</tr>";
     }
     table_close(html);
-  }
-
-  if (!report.quantiles.empty()) {
-    html += "<h2>Sketched distributions</h2>\n";
-    table_open(html, {"sketch", "count", "sum", "min", "p50", "p90", "p99",
-                      "max"});
-    for (const ReportQuantiles& q : report.quantiles) {
-      html += "<tr>" + td(html_escape(q.label)) + td(q.count) + td(q.sum) +
-              td(q.min) + td(q.p50) + td(q.p90) + td(q.p99) + td(q.max) +
-              "</tr>";
-    }
-    table_close(html);
-  }
-
-  if (!report.topk.empty()) {
-    html += "<h2>Heavy hitters</h2>\n";
-    for (const auto& [label, sketch] : report.topk) {
-      html += "<h3>" + html_escape(label) + "</h3>\n";
-      table_open(html, {"key", "count", "error"});
-      for (const TopK::Entry& e : sketch.top()) {
-        html += "<tr>" + td(e.key) + td(e.count) + td(e.error) + "</tr>";
-      }
-      table_close(html);
-    }
   }
 
   if (report.campaign_rows > 0) {

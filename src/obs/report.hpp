@@ -45,20 +45,6 @@ struct ReportSeries {
   std::uint64_t stride_ = 1;
 };
 
-/// Latest parsed log-histogram sketch of one labeled source
-/// (`sim_summary.latency_hist`, `checker_summary.successor_hist`, ...).
-struct ReportQuantiles {
-  std::string label;
-  std::uint64_t occurrences = 0;  ///< events that carried this sketch
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p90 = 0;
-  std::uint64_t p99 = 0;
-};
-
 /// Final state of one progress_snapshot source.
 struct ReportProgress {
   std::string name;
@@ -83,12 +69,6 @@ struct RunReport {
   /// source name, plus the final snapshot per source.
   std::vector<ReportSeries> progress_series;
   std::vector<ReportProgress> progress;
-
-  /// Embedded log-histogram sketches by label, latest occurrence.
-  std::vector<ReportQuantiles> quantiles;
-  /// Embedded top-K sketches by label, merged across occurrences
-  /// (per-key counts add; the table is itself a TopK(16)).
-  std::vector<std::pair<std::string, TopK>> topk;
 
   /// campaign_row aggregation.
   std::uint64_t campaign_rows = 0;

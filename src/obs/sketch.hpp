@@ -1,28 +1,16 @@
-// Streaming sketches: bounded-memory, mergeable summaries for
-// internet-scale observability. Three structures, all deterministic and
-// all with *commutative, associative* merge_from, so per-worker shards
-// combine into byte-identical JSON at any thread width (the same
-// shard-and-merge contract Registry::merge_from established):
+// Streaming sketches: bounded-memory, deterministic summaries.
 //
 //   * LogHistogram — an HDR-style log-bucketed histogram with
 //     configurable precision and an exact quantile-error contract:
 //     quantile(q) returns an upper bound u on the true empirical
 //     quantile v with (u - v) / v < 2^-precision_bits. Memory is
-//     O(buckets touched), never O(samples).
-//   * TopK — a space-saving heavy-hitter sketch (most-flapped nodes,
-//     hottest channels, deepest-queue channels). Counts are exact
-//     upper bounds with a per-entry overestimation `error`; merges are
-//     exact (and order-invariant) whenever capacity covers the distinct
-//     keys, approximate with documented eviction ties otherwise.
-//   * ReservoirSample — a seeded bottom-k sample by hashed priority.
-//     Whether an item is kept depends only on (seed, id), never on
-//     arrival order or shard assignment, so the union-merge of any
-//     partition of a stream equals the sample of the whole stream.
-//
-// The ObsBudget knob selects between the exact per-node / per-step
-// observability structures (kFull) and these sketches (kSketched) in
-// engine::run, checker::explore, sim::run, and study::run_campaign —
-// forensics degrade gracefully instead of OOMing at 100k+ nodes.
+//     O(buckets touched), never O(samples). Its merge_from is
+//     commutative and associative, so per-worker shards combine into
+//     byte-identical JSON at any thread width; obs::Registry keeps every
+//     histogram metric as one.
+//   * TopK — a space-saving heavy-hitter sketch (the report's
+//     most-flapped nodes of a flight recording). Counts are exact upper
+//     bounds with a per-entry overestimation `error`.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +19,6 @@
 #include <vector>
 
 namespace commroute::obs {
-
-/// How much memory observability may spend on a run (see file comment).
-enum class ObsBudget {
-  kFull,      ///< exact maps/vectors; memory grows with nodes x steps
-  kSketched,  ///< bounded sketches; memory independent of instance size
-};
-
-std::string to_string(ObsBudget budget);
 
 /// Log-bucketed histogram over uint64 values. Values below
 /// 2^precision_bits are counted exactly; above, buckets group values
@@ -76,10 +56,6 @@ class LogHistogram {
     return 1.0 / static_cast<double>(1u << bits_);
   }
 
-  /// Deterministic byte estimate (bucket count x entry size; never
-  /// capacity, never the allocator) — safe in byte-compared outputs.
-  std::uint64_t estimated_bytes() const;
-
   /// {"precision_bits":..,"count":..,"sum":..,"min":..,"max":..,
   ///  "p50":..,"p90":..,"p99":..,"buckets":..} — a pure function of the
   /// observed multiset, hence byte-identical across shard counts.
@@ -114,22 +90,10 @@ class TopK {
 
   void add(std::uint64_t key, std::uint64_t weight = 1);
 
-  /// Sums per-key counts and errors, then prunes back to capacity.
-  /// Requires identical capacity. Exact and fully order/partition-
-  /// invariant when capacity >= distinct keys (the campaign and engine
-  /// usage); otherwise a standard space-saving approximation whose
-  /// result can depend on the merge tree.
-  void merge_from(const TopK& other);
-
   /// Entries sorted by count descending, key ascending.
   std::vector<Entry> top() const;
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
   std::uint64_t total_weight() const { return total_; }
-
-  /// Deterministic byte estimate (entry count x entry size).
-  std::uint64_t estimated_bytes() const;
 
   /// {"capacity":..,"total":..,"entries":[{"key":..,"count":..,
   ///  "error":..},...]} in top() order.
@@ -140,59 +104,10 @@ class TopK {
     std::uint64_t count = 0;
     std::uint64_t error = 0;
   };
-  void prune();
 
   std::size_t capacity_;
   std::uint64_t total_ = 0;
   std::map<std::uint64_t, Cell> entries_;
-};
-
-/// Seeded deterministic reservoir sample of an event stream: keeps the
-/// `capacity` items with the smallest hashed priority mix(seed, id).
-/// Because the keep/evict decision is a pure function of (seed, id),
-/// the sample is invariant under arrival order and stream partitioning:
-/// merging per-shard samples equals sampling the concatenated stream.
-/// `id` must identify the stream position (step number, row index);
-/// duplicate ids are kept as distinct items.
-class ReservoirSample {
- public:
-  struct Item {
-    std::uint64_t id = 0;
-    std::string value;         ///< caller payload (label, JSON, ...)
-    std::uint64_t priority = 0;
-  };
-
-  ReservoirSample(std::size_t capacity, std::uint64_t seed);
-
-  void add(std::uint64_t id, std::string value);
-
-  /// Union-merge keeping the bottom `capacity` priorities. Requires
-  /// identical capacity and seed.
-  void merge_from(const ReservoirSample& other);
-
-  /// Sampled items sorted by id ascending.
-  std::vector<Item> items() const;
-
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t seed() const { return seed_; }
-  std::uint64_t seen() const { return seen_; }
-
-  /// Deterministic byte estimate (item count x entry size + payload
-  /// lengths).
-  std::uint64_t estimated_bytes() const;
-
-  /// {"capacity":..,"seed":..,"seen":..,"items":[{"id":..,
-  ///  "value":".."},...]} sorted by id.
-  std::string to_json() const;
-
- private:
-  void insert(Item item);
-
-  std::size_t capacity_;
-  std::uint64_t seed_;
-  std::uint64_t seen_ = 0;
-  /// Max-heap on (priority, id, value) — the front is the first evicted.
-  std::vector<Item> heap_;
 };
 
 }  // namespace commroute::obs

@@ -13,14 +13,14 @@
 namespace commroute::obs {
 namespace {
 
-/// A mixed artifact: events with sketch blobs, telemetry, progress,
+/// A mixed artifact: engine and sim events, telemetry, progress,
 /// campaign rows, a critical path, a flight recording, and one
 /// malformed line.
 std::string mixed_fixture() {
   return
-      R"({"type":"engine_run","wall_us":1200,"critical_path_len":5,"critical_path_us":900,"obs_budget":"sketched","flap_topk":{"capacity":16,"total":10,"entries":[{"key":3,"count":7,"error":0},{"key":1,"count":3,"error":0}]}})"
+      R"({"type":"engine_run","wall_us":1200,"critical_path_len":5,"critical_path_us":900})"
       "\n"
-      R"({"type":"sim_summary","latency_hist":{"precision_bits":5,"count":4,"sum":40,"min":5,"max":15,"p50":10,"p90":15,"p99":15,"buckets":3}})"
+      R"({"type":"sim_summary"})"
       "\n"
       R"({"type":"telemetry_snapshot","seq":0,"elapsed_ms":0,"rss_bytes":1000,"pool.queue_depth":2})"
       "\n"
@@ -63,18 +63,6 @@ TEST(RunReport, SinglePassCollectsEverySection) {
   EXPECT_EQ(report.progress[0].name, "campaign.rows");
   EXPECT_EQ(report.progress[0].done, 3u);
   EXPECT_DOUBLE_EQ(report.progress[0].fraction, 0.75);
-
-  // Structural sketch detection: one histogram blob, one top-K blob.
-  ASSERT_EQ(report.quantiles.size(), 1u);
-  EXPECT_EQ(report.quantiles[0].label, "sim_summary.latency_hist");
-  EXPECT_EQ(report.quantiles[0].count, 4u);
-  EXPECT_EQ(report.quantiles[0].p90, 15u);
-  ASSERT_EQ(report.topk.size(), 1u);
-  EXPECT_EQ(report.topk[0].first, "engine_run.flap_topk");
-  const auto entries = report.topk[0].second.top();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].key, 3u);
-  EXPECT_EQ(entries[0].count, 7u);
 
   EXPECT_EQ(report.campaign_rows, 2u);
   EXPECT_EQ(report.outcome_counts.at("converged"), 1u);
@@ -132,8 +120,6 @@ TEST(RunReport, HtmlIsSelfContainedAndStatic) {
   EXPECT_NE(html.find("Events"), std::string::npos);
   EXPECT_NE(html.find("Progress"), std::string::npos);
   EXPECT_NE(html.find("Telemetry"), std::string::npos);
-  EXPECT_NE(html.find("Sketched distributions"), std::string::npos);
-  EXPECT_NE(html.find("Heavy hitters"), std::string::npos);
   EXPECT_NE(html.find("Campaign"), std::string::npos);
   EXPECT_NE(html.find("Critical path"), std::string::npos);
   EXPECT_NE(html.find("Flight recording"), std::string::npos);

@@ -4,7 +4,9 @@
 // were computed before NetworkState was repacked; any representation
 // change must reproduce them exactly. One more explorer cell pins a
 // large witness tour, computed before the tour was rebuilt on distance
-// labels.
+// labels. The last cells pin the engine_run, checker_summary and
+// campaign event bytes (wall-clock fields stripped), computed before the
+// sketched observability mode was deleted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "sim/sim_runner.hpp"
 #include "spp/gadgets.hpp"
+#include "study/campaign.hpp"
 #include "trace/recording_io.hpp"
 
 namespace commroute {
@@ -233,6 +236,70 @@ TEST(StateGolden, SimSummaryEvent) {
   ASSERT_FALSE(summary.empty());
   EXPECT_EQ(hex(fnv1a(summary)), "e53427906dbf88db") << summary;
   EXPECT_EQ(hex(fnv1a(result.to_json())), "db03ea49156b8b67") << result.to_json();
+}
+
+/// The sink's lines of the given event types, wall-clock fields
+/// (wall_us, wall_ms) removed, one per line.
+std::string events_without_wall(const obs::MemorySink& sink,
+                                const std::vector<std::string>& types) {
+  static const std::regex wall(R"re(,?"wall_(us|ms)":[^,}]*)re");
+  std::string out;
+  for (const std::string& line : sink.lines()) {
+    for (const std::string& type : types) {
+      if (line.find("\"type\":\"" + type + "\"") != std::string::npos) {
+        out += std::regex_replace(line, wall, "") + "\n";
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(StateGolden, EngineRunEvent) {
+  const spp::Instance bad = spp::bad_gadget();
+  const Model m = Model::parse("R1O");
+  engine::RoundRobinScheduler sched(m, bad);
+  engine::RunOptions options;
+  options.enforce_model = m;
+  obs::MemorySink sink;
+  options.obs.sink = &sink;
+  engine::run(bad, sched, options);
+  const std::string events = events_without_wall(sink, {"engine_run"});
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(hex(fnv1a(events)), "6da378519ad3e557") << events;
+}
+
+TEST(StateGolden, CheckerSummaryEvent) {
+  const spp::Instance bad = spp::bad_gadget();
+  checker::ExploreOptions options;
+  options.max_channel_length = 3;
+  obs::MemorySink sink;
+  options.obs.sink = &sink;
+  checker::explore(bad, Model::parse("R1O"), options);
+  const std::string events = events_without_wall(sink, {"checker_summary"});
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(hex(fnv1a(events)), "d7b31ff07e8e9fd6") << events;
+}
+
+TEST(StateGolden, CampaignEventStream) {
+  const spp::Instance bad = spp::bad_gadget();
+  const spp::Instance good = spp::good_gadget();
+  study::CampaignSpec spec;
+  spec.instances = {{"BAD", &bad}, {"GOOD", &good}};
+  spec.models = {Model::parse("R1O"), Model::parse("UMS")};
+  spec.schedulers = {study::SchedulerKind::kRoundRobin,
+                     study::SchedulerKind::kRandomFair,
+                     study::SchedulerKind::kSim};
+  spec.seeds = 2;
+  spec.max_steps = 2000;
+  spec.threads = 1;
+  obs::MemorySink sink;
+  spec.obs.sink = &sink;
+  study::run_campaign(spec);
+  const std::string events =
+      events_without_wall(sink, {"campaign_row", "campaign_summary"});
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(hex(fnv1a(events)), "7ed926ec8f31f6e1") << events;
 }
 
 }  // namespace
